@@ -16,17 +16,18 @@
 ///
 /// Flags: --smoke                  CI-sized problem (16 procs x 108 units,
 ///                                 same panel structure); the paper-scale
-///                                 default takes minutes per panel, and 20+
-///                                 minutes total under --policy=sfc.
+///                                 default takes seconds (about 6 s for all
+///                                 six panels), --policy=sfc 20+ minutes.
 ///        --trace-out=<file>       export a Chrome/Perfetto trace per panel
 ///                                 (file gets a "-a".."-f" suffix per system).
 ///        --fault-profile=<name>   run under a canned fault-injection profile
 ///                                 (none | lossy1pct | burst-reorder |
 ///                                 one-slow-node, see EXPERIMENTS.md).
 ///        --fault-seed=<n>         seed the fault plan's RNG streams.
-///        --policy=<name>          override the PREMA panels' balancing
+///        --policy=<name>          override the balancing PREMA panels'
 ///                                 policy (any registry name, including the
-///                                 topology-aware sfc and cluster).
+///                                 topology-aware sfc and cluster); panel
+///                                 (a) always runs without balancing.
 
 namespace prema::bench {
 
@@ -64,9 +65,9 @@ inline int run_figure(int argc, char** argv, const char* title,
     }
   }
   if (smoke) {
-    // Same six panels, CI-sized: the paper-scale problem takes minutes per
-    // panel (and --policy=sfc 20+ minutes total), which only EXPERIMENTS.md
-    // reproduction runs should pay for.
+    // Same six panels, CI-sized: the paper-scale problem takes seconds, but
+    // --policy=sfc 20+ minutes there, which only EXPERIMENTS.md reproduction
+    // runs should pay for.
     cfg.nprocs = 16;
     cfg.units_per_proc = 108;
   }

@@ -92,7 +92,8 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
         ledger.at(ctx.rank()).record_completion(sojourn);
         comp_by_rank[static_cast<std::size_t>(ctx.rank())] += service_s;
         if (auto* ts = ctx.node().trace()) {
-          ts->service_complete(ctx.now(), client, sojourn);
+          ts->record(trace::EventKind::kServiceComplete, ctx.now(), kNoProc, client,
+                     sojourn);
         }
       });
 

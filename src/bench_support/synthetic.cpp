@@ -189,8 +189,9 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
 
   RuntimeConfig rcfg;
   rcfg.trace.enabled = !cfg.trace_out.empty();
-  std::string policy = cfg.policy;
-  if (policy.empty()) policy = sys == System::kNoLB ? "null" : "work_stealing";
+  // Panel (a) is the no-balancing baseline whatever policy the other panels run.
+  std::string policy = sys == System::kNoLB ? "null" : cfg.policy;
+  if (policy.empty()) policy = "work_stealing";
   rcfg.policy = policy;
   rcfg.balancer.low_watermark = cfg.low_watermark;
   rcfg.balancer.donate_threshold = 2 * cfg.low_watermark;

@@ -36,10 +36,10 @@ const char* system_panel(System s);  ///< (a)..(f) per the paper's figures
 struct SyntheticConfig {
   int nprocs = 128;
   int units_per_proc = 864;
-  /// Balancing-policy registry name for the PREMA systems. Empty keeps the
-  /// legacy mapping (kNoLB -> "null", the other panels -> "work_stealing"
-  /// with the grant-size tuning below); any ilb::make_policy name — including
-  /// the topology-aware "sfc" and "cluster" — overrides it. Units always
+  /// Balancing-policy registry name for the balancing PREMA panels. Empty
+  /// keeps "work_stealing" with the grant-size tuning below; any
+  /// ilb::make_policy name — including the topology-aware "sfc" and
+  /// "cluster" — overrides it. kNoLB always runs "null". Units always
   /// register grid coordinates (a no-op unless the policy wants topology).
   std::string policy;
   /// Machine backend for the PREMA systems: "sim" (emulated, deterministic)

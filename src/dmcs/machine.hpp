@@ -37,11 +37,11 @@ class Machine {
   [[nodiscard]] virtual const util::TimeLedger& ledger(ProcId p) const = 0;
 
   /// Attach an event recorder and hand each node its per-processor sink
-  /// (call before run()). Honors cfg.enabled and the PREMA_TRACE compile
-  /// switch; returns the recorder, or nullptr when tracing stays off.
+  /// (call before run()). Honors cfg.enabled; returns the recorder, or
+  /// nullptr when tracing stays off.
   /// Idempotent: a second call returns the existing recorder.
   trace::TraceRecorder* enable_tracing(trace::TraceConfig cfg) {
-    if (!trace::kCompiledIn || !cfg.enabled) return tracer_.get();
+    if (!cfg.enabled) return tracer_.get();
     if (!tracer_) {
       tracer_ = std::make_unique<trace::TraceRecorder>(nprocs(), cfg);
       for (ProcId p = 0; p < nprocs(); ++p) {

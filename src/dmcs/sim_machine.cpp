@@ -66,8 +66,8 @@ void SimNode::do_send(ProcId dst, Message&& msg) {
   proc_.advance(TimeCategory::kMessaging, net.send_cpu(msg.size_bytes()));
   ++stats_.sent;  // logical sends only: retransmits and acks never re-count
   if (trace_) {
-    trace_->message_send(proc_.clock(), dst, msg.size_bytes(),
-                         msg.kind == MsgKind::kSystem);
+    trace_->record(trace::EventKind::kMessageSend, proc_.clock(), dst, msg.size_bytes(),
+                   0.0, 0, msg.kind == MsgKind::kSystem);
   }
   if (rlink_ != nullptr && dst != rank_) {
     rlink_->stamp(dst, msg, proc_.clock());
@@ -101,8 +101,14 @@ void SimNode::wire_send(ProcId dst, Message&& msg) {
   const sim::SimTime base = std::max(proc_.clock(), eng_.now());
   const auto fate = plan->on_send(rank_, dst);
   const std::size_t bytes = msg.size_bytes();
+  const auto trace_fault = [&](trace::FaultType type) {
+    if (trace_) {
+      trace_->record(trace::EventKind::kFault, base, dst, bytes,
+                     static_cast<double>(type));
+    }
+  };
   if (fate.copies == 0) {
-    if (trace_) trace_->fault(base, dst, trace::FaultType::kDrop, bytes);
+    trace_fault(trace::FaultType::kDrop);
     if (rlink_ != nullptr && (msg.rflags & Message::kReliable) != 0) {
       // The copy died on the wire, but the timeout should still run from
       // when it would have arrived, not from the (possibly much earlier)
@@ -112,12 +118,10 @@ void SimNode::wire_send(ProcId dst, Message&& msg) {
     }
     return;
   }
-  if (trace_) {
-    if (fate.copies > 1) trace_->fault(base, dst, trace::FaultType::kDuplicate, bytes);
-    if (fate.corrupt) trace_->fault(base, dst, trace::FaultType::kCorrupt, bytes);
-    if (fate.extra_delay_s > 0.0) trace_->fault(base, dst, trace::FaultType::kDelay, bytes);
-    if (fate.reorder) trace_->fault(base, dst, trace::FaultType::kReorder, bytes);
-  }
+  if (fate.copies > 1) trace_fault(trace::FaultType::kDuplicate);
+  if (fate.corrupt) trace_fault(trace::FaultType::kCorrupt);
+  if (fate.extra_delay_s > 0.0) trace_fault(trace::FaultType::kDelay);
+  if (fate.reorder) trace_fault(trace::FaultType::kReorder);
   for (int i = 0; i < fate.copies; ++i) {
     Message m = (i + 1 == fate.copies) ? std::move(msg) : msg;
     if (fate.corrupt && (m.rflags & Message::kReliable) != 0) {
@@ -168,11 +172,14 @@ void SimNode::on_wire(Message&& msg) {
   }
   const ProcId peer = msg.src;
   auto res = rlink_->accept(std::move(msg));
-  if (trace_) {
-    const double t = eng_.now();
-    if (res.corrupt) trace_->fault(t, peer, trace::FaultType::kCorruptDropped, 0);
-    if (res.duplicate) trace_->fault(t, peer, trace::FaultType::kDupDropped, 0);
-  }
+  const auto trace_discard = [&](trace::FaultType type) {
+    if (trace_) {
+      trace_->record(trace::EventKind::kFault, eng_.now(), peer, 0,
+                     static_cast<double>(type));
+    }
+  };
+  if (res.corrupt) trace_discard(trace::FaultType::kCorruptDropped);
+  if (res.duplicate) trace_discard(trace::FaultType::kDupDropped);
   if (!res.corrupt) send_bare_ack(peer, res.ack_value);
   for (auto& m : res.deliver) on_arrival(std::move(m));
 }
@@ -183,7 +190,7 @@ void SimNode::send_bare_ack(ProcId to, std::uint32_t cumulative) {
   a.kind = MsgKind::kSystem;
   a.rflags = Message::kBareAck;
   a.ack = cumulative;
-  if (trace_) trace_->ack(eng_.now(), to, cumulative);
+  if (trace_) trace_->record(trace::EventKind::kAck, eng_.now(), to, cumulative);
   // Acks are transport-internal: no stats, no CPU charge, not retransmitted.
   wire_send(to, std::move(a));
 }
@@ -203,7 +210,9 @@ void SimNode::on_retransmit_timer() {
   if (rlink_ == nullptr) return;
   auto due = rlink_->due_retransmits(eng_.now());
   for (auto& r : due) {
-    if (trace_) trace_->retransmit(eng_.now(), r.dst, r.msg.seq);
+    if (trace_) {
+      trace_->record(trace::EventKind::kRetransmit, eng_.now(), r.dst, r.msg.seq);
+    }
     wire_send(r.dst, std::move(r.msg));
   }
   schedule_retransmit();
@@ -286,8 +295,8 @@ void SimNode::drain_inbox() {
     proc_.advance(TimeCategory::kMessaging,
                   machine_.config().net.recv_cpu(msg.size_bytes()));
     if (trace_) {
-      trace_->message_recv(proc_.clock(), msg.src, msg.size_bytes(),
-                           msg.kind == MsgKind::kSystem);
+      trace_->record(trace::EventKind::kMessageRecv, proc_.clock(), msg.src,
+                     msg.size_bytes(), 0.0, 0, msg.kind == MsgKind::kSystem);
     }
     if (msg.kind == MsgKind::kSystem) {
       program_->deliver_system(*this, std::move(msg));
@@ -373,7 +382,7 @@ void SimNode::on_interrupt(std::uint64_t gen) {
 
   proc_.advance(TimeCategory::kPolling, polling().tick_cost_s);
   ++interrupts_;
-  if (trace_) trace_->poll_wakeup(proc_.clock());
+  if (trace_) trace_->record(trace::EventKind::kPollWakeup, proc_.clock());
 
   // Hand every queued system message to the program; application messages
   // stay queued for the next service pass (single-threaded model preserved).
@@ -387,7 +396,8 @@ void SimNode::on_interrupt(std::uint64_t gen) {
     proc_.advance(TimeCategory::kMessaging,
                   machine_.config().net.recv_cpu(msg.size_bytes()));
     if (trace_) {
-      trace_->message_recv(proc_.clock(), msg.src, msg.size_bytes(), true);
+      trace_->record(trace::EventKind::kMessageRecv, proc_.clock(), msg.src,
+                     msg.size_bytes(), 0.0, 0, true);
     }
     program_->deliver_system(*this, std::move(msg));
   }

@@ -48,8 +48,8 @@ void ThreadNode::send(ProcId dst, Message msg) {
   msg.src = rank_;
   ++stats_.sent;  // logical sends only: retransmits and acks never re-count
   if (trace_) {
-    trace_->message_send(now(), dst, msg.size_bytes(),
-                         msg.kind == MsgKind::kSystem);
+    trace_->record(trace::EventKind::kMessageSend, now(), dst, msg.size_bytes(), 0.0, 0,
+                   msg.kind == MsgKind::kSystem);
   }
   if (rlink_ != nullptr && dst != rank_) {
     // In-flight accounting moves to the receiver: transport_accept bumps the
@@ -80,16 +80,20 @@ void ThreadNode::wire_send(ProcId dst, Message&& msg) {
   }
   const auto fate = plan->on_send(rank_, dst);
   const std::size_t bytes = msg.size_bytes();
+  const auto trace_fault = [&](trace::FaultType type) {
+    if (trace_) {
+      trace_->record(trace::EventKind::kFault, now(), dst, bytes,
+                     static_cast<double>(type));
+    }
+  };
   if (fate.copies == 0) {
-    if (trace_) trace_->fault(now(), dst, trace::FaultType::kDrop, bytes);
+    trace_fault(trace::FaultType::kDrop);
     return;
   }
   // Delay/reorder knobs are sim-only; real thread scheduling already
   // reorders freely. Drop, duplication, and corruption apply here.
-  if (trace_) {
-    if (fate.copies > 1) trace_->fault(now(), dst, trace::FaultType::kDuplicate, bytes);
-    if (fate.corrupt) trace_->fault(now(), dst, trace::FaultType::kCorrupt, bytes);
-  }
+  if (fate.copies > 1) trace_fault(trace::FaultType::kDuplicate);
+  if (fate.corrupt) trace_fault(trace::FaultType::kCorrupt);
   for (int i = 0; i < fate.copies; ++i) {
     Message m = (i + 1 == fate.copies) ? std::move(msg) : msg;
     if (fate.corrupt && (m.rflags & Message::kReliable) != 0) {
@@ -115,10 +119,13 @@ void ThreadNode::transport_accept(Message&& msg) {
     return;
   }
   auto res = rlink_->accept(std::move(msg));
-  if (trace_) {
-    if (res.corrupt) trace_->fault(now(), peer, trace::FaultType::kCorruptDropped, 0);
-    if (res.duplicate) trace_->fault(now(), peer, trace::FaultType::kDupDropped, 0);
-  }
+  const auto trace_discard = [&](trace::FaultType type) {
+    if (trace_) {
+      trace_->record(trace::EventKind::kFault, now(), peer, 0, static_cast<double>(type));
+    }
+  };
+  if (res.corrupt) trace_discard(trace::FaultType::kCorruptDropped);
+  if (res.duplicate) trace_discard(trace::FaultType::kDupDropped);
   // Release before acking: once the sender sees this ack its link goes
   // quiet, so every message the ack covers must already be counted
   // in-flight or the quiescence detector could fire early.
@@ -132,7 +139,7 @@ void ThreadNode::transport_accept(Message&& msg) {
     a.kind = MsgKind::kSystem;
     a.rflags = Message::kBareAck;
     a.ack = res.ack_value;
-    if (trace_) trace_->ack(now(), peer, res.ack_value);
+    if (trace_) trace_->record(trace::EventKind::kAck, now(), peer, res.ack_value);
     wire_send(peer, std::move(a));
   }
 }
@@ -141,7 +148,7 @@ void ThreadNode::drain_retransmits() {
   if (rlink_ == nullptr) return;
   auto due = rlink_->due_retransmits(now());
   for (auto& r : due) {
-    if (trace_) trace_->retransmit(now(), r.dst, r.msg.seq);
+    if (trace_) trace_->record(trace::EventKind::kRetransmit, now(), r.dst, r.msg.seq);
     wire_send(r.dst, std::move(r.msg));
   }
 }
@@ -238,8 +245,8 @@ int ThreadNode::drain(bool system_only) {
     }
     if (!msg.internal) ++stats_.received;
     if (trace_) {
-      trace_->message_recv(now(), msg.src, msg.size_bytes(),
-                           msg.kind == MsgKind::kSystem);
+      trace_->record(trace::EventKind::kMessageRecv, now(), msg.src, msg.size_bytes(),
+                     0.0, 0, msg.kind == MsgKind::kSystem);
     }
     if (msg.kind == MsgKind::kSystem) {
       program_->deliver_system(*this, std::move(msg));
@@ -293,7 +300,7 @@ void ThreadNode::poller_loop() {
     const int handled = drain(/*system_only=*/true);
     if (handled > 0) {
       charge(TimeCategory::kPolling, seconds_between(t0, Clock::now()));
-      if (trace_) trace_->poll_wakeup(now());
+      if (trace_) trace_->record(trace::EventKind::kPollWakeup, now());
     }
   }
 }

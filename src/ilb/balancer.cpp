@@ -77,15 +77,14 @@ void Balancer::on_wire(dmcs::Message&& msg) {
     return;
   }
   charge_seconds(cfg_.decision_cost_s);
-  if (auto* ts = node_.trace()) ts->policy_wire(node_.now(), msg.src, tag);
+  if (auto* ts = node_.trace()) {
+    ts->record(trace::EventKind::kPolicyWire, node_.now(), msg.src, tag);
+  }
   policy_->on_message(*this, msg.src, tag, r);
 }
 
 void Balancer::work_arrived() {
   if (!cfg_.enabled) return;
-  if (auto* ts = node_.trace()) {
-    ts->sample_queue_depth(static_cast<double>(sched_.queued_units()));
-  }
   policy_->on_work_arrived(*this);
 }
 
@@ -124,7 +123,8 @@ void Balancer::migrate_object(const mol::MobilePtr& ptr, ProcId dst) {
         break;
       }
     }
-    ts->policy_decision(node_.now(), dst, weight, policy_name_id_);
+    ts->record(trace::EventKind::kPolicyDecision, node_.now(), dst, 0, weight,
+               policy_name_id_);
     ++migrations_this_round_;
   }
   mol_.migrate(ptr, dst);
@@ -201,14 +201,16 @@ void Balancer::switch_policy(std::unique_ptr<Policy> policy) {
 
 void Balancer::trace_sfc_cut(std::size_t segments, double imbalance) {
   if (auto* ts = node_.trace()) {
-    ts->policy_sfc_cut(node_.now(), segments, imbalance);
+    ts->record(trace::EventKind::kPolicySfcCut, node_.now(), kNoProc, segments,
+               imbalance);
   }
 }
 
 void Balancer::trace_cluster_merge(ProcId dst, std::size_t objects,
                                    double traffic) {
   if (auto* ts = node_.trace()) {
-    ts->policy_cluster_merge(node_.now(), dst, objects, traffic);
+    ts->record(trace::EventKind::kPolicyClusterMerge, node_.now(), dst, objects,
+               traffic);
   }
 }
 

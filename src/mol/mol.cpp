@@ -284,7 +284,9 @@ void Mol::migrate_locked(const MobilePtr& ptr, ProcId dst) {
   forwarding_[ptr] = dst;
   cache_.erase(ptr);
   ++stats_.migrations_out;
-  if (auto* ts = node_.trace()) ts->migration_out(node_.now(), dst, w.size());
+  if (auto* ts = node_.trace()) {
+    ts->record(trace::EventKind::kMigrationOut, node_.now(), dst, w.size());
+  }
 
   if (!node_.reliable_transport()) {
     node_.send(dst, Message{migrate_h_, node_.rank(), MsgKind::kSystem, w.take()});
@@ -361,7 +363,7 @@ void Mol::on_migrate(Message&& msg) {
 
 void Mol::on_migrate_locked(Message&& msg) {
   if (auto* ts = node_.trace()) {
-    ts->migration_in(node_.now(), msg.src, msg.payload.size());
+    ts->record(trace::EventKind::kMigrationIn, node_.now(), msg.src, msg.payload.size());
   }
   // wire:mol.migrate unpack r
   ByteReader r(msg.payload);

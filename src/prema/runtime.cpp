@@ -371,7 +371,9 @@ void Runtime::service_on_arrival(NodeRt& r) {
   r.assert_state_held();  // handler thunk takes the node's state lock
   const double t = r.node->now();
   const service::Arrival a = r.arrivals->next_arrival();
-  if (auto* ts = r.node->trace()) ts->service_arrival(t, a.client, a.cost_mflop);
+  if (auto* ts = r.node->trace()) {
+    ts->record(trace::EventKind::kServiceArrival, t, kNoProc, a.client, a.cost_mflop);
+  }
   if (svc_->ledger) svc_->ledger->at(r.node->rank()).record_arrival(t);
   svc_->on_arrival(r.ctx, a);
   r.did_work = true;
@@ -396,7 +398,9 @@ void Runtime::service_on_epoch(NodeRt& r) {
   }
   r.balancer->poll();
   const double load = r.sched.load(r.balancer->config().use_weight);
-  if (auto* ts = r.node->trace()) ts->service_epoch(t, load);
+  if (auto* ts = r.node->trace()) {
+    ts->record(trace::EventKind::kServiceEpoch, t, kNoProc, 0, load);
+  }
   if (svc_->ledger) svc_->ledger->at(r.node->rank()).sample_load(t, load);
   const double remaining = svc_->duration_s - t;
   if (remaining > 1e-9) {
@@ -478,7 +482,9 @@ void Runtime::term_start_wave(NodeRt& r0, std::uint64_t snapshot) {
   auto& c = *term_;
   ++c.wave;
   ++term_waves_;
-  if (auto* ts = r0.node->trace()) ts->term_wave(r0.node->now(), c.wave);
+  if (auto* ts = r0.node->trace()) {
+    ts->record(trace::EventKind::kTermWave, r0.node->now(), kNoProc, c.wave);
+  }
   c.wave_active = true;
   c.acks = 0;
   c.all_idle = true;

@@ -18,9 +18,9 @@
 ///     `LockGuard`, `UniqueLock`, `RecursiveLock`, `CondVar` — thin wrappers
 ///     over the `std::` equivalents that carry the capability attributes.
 ///     All library code uses these instead of raw `std::mutex` /
-///     `std::lock_guard`; `prema_lint` enforces that rule, which is what
-///     makes the static analysis airtight: a mutex the analysis cannot see
-///     cannot exist outside this header.
+///     `std::lock_guard`; `prema_analyze`'s conventions pass enforces that
+///     rule, which is what makes the static analysis airtight: a mutex the
+///     analysis cannot see cannot exist outside this header.
 ///
 /// The analysis build is `-DPREMA_THREAD_SAFETY=ON` with a Clang toolchain
 /// (adds `-Wthread-safety`; combine with the default-on PREMA_WERROR to make

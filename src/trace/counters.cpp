@@ -80,7 +80,6 @@ ProcCounters& ProcCounters::operator+=(const ProcCounters& other) {
   work_seconds += other.work_seconds;
   partition_seconds += other.partition_seconds;
   msg_size += other.msg_size;
-  queue_depth += other.queue_depth;
   migrations_per_round += other.migrations_per_round;
   return *this;
 }

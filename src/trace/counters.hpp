@@ -9,14 +9,14 @@
 /// the trace sinks. These survive ring-buffer overflow (events may be
 /// dropped; counts never are), so the summary exporter can report exact
 /// totals — message counts and sizes, work units, migrations per balancing
-/// round, scheduler queue depth — alongside whatever window of events the
-/// buffers retained.
+/// round — alongside whatever window of events the buffers retained. Which
+/// field an event bumps is part of its row in the kind table (trace.hpp).
 
 namespace prema::trace {
 
 /// Histogram over power-of-two buckets: bucket i counts values in
 /// [2^(i-1), 2^i) with bucket 0 taking everything below 1. Good enough for
-/// message sizes (bytes) and queue depths (units); exact mean via sum/n.
+/// message sizes (bytes) and objects per round; exact mean via sum/n.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 40;
@@ -80,7 +80,6 @@ struct ProcCounters {
   double partition_seconds = 0.0;  ///< summed partition span durations
 
   Histogram msg_size;               ///< bytes per sent message
-  Histogram queue_depth;            ///< scheduler queued units at enqueue
   Histogram migrations_per_round;   ///< objects migrated per balancing round
 
   ProcCounters& operator+=(const ProcCounters& other);

@@ -57,107 +57,19 @@ std::string num(double v) {
   return buf;
 }
 
-const char* chrome_category(EventKind k) {
-  switch (k) {
-    case EventKind::kWorkUnit: return "work";
-    case EventKind::kPartition: return "partition";
-    case EventKind::kMessageSend:
-    case EventKind::kMessageRecv: return "msg";
-    case EventKind::kMigrationOut:
-    case EventKind::kMigrationIn: return "migration";
-    case EventKind::kPolicyDecision:
-    case EventKind::kPolicyWire: return "policy";
-    case EventKind::kPollWakeup: return "polling";
-    case EventKind::kTermWave: return "termination";
-    case EventKind::kFault: return "fault";
-    case EventKind::kRetransmit:
-    case EventKind::kAck: return "transport";
-    case EventKind::kServiceArrival:
-    case EventKind::kServiceComplete:
-    case EventKind::kServiceEpoch: return "service";
-    case EventKind::kPolicySfcCut:
-    case EventKind::kPolicyClusterMerge: return "policy";
-    case EventKind::kCount: break;
+/// One Chrome arg's value, as JSON.
+std::string arg_json(ArgField field, const TraceEvent& e) {
+  switch (field) {
+    case ArgField::kPeer: return std::to_string(e.peer);
+    case ArgField::kSize: return std::to_string(e.size);
+    case ArgField::kValue: return num(e.value);
+    case ArgField::kFaultType:
+      return "\"" + std::string(fault_type_name(static_cast<FaultType>(e.value))) + "\"";
+    case ArgField::kSystem:
+      return (e.flags & TraceEvent::kFlagSystem) != 0 ? "true" : "false";
+    case ArgField::kNone: break;
   }
-  return "?";
-}
-
-/// Event-specific "args" payload, as a JSON object body (no braces).
-std::string chrome_args(const TraceEvent& e) {
-  std::string a;
-  const bool system = (e.flags & TraceEvent::kFlagSystem) != 0;
-  switch (e.kind) {
-    case EventKind::kWorkUnit:
-      a = "\"weight\":" + num(e.value);
-      break;
-    case EventKind::kPartition:
-      break;
-    case EventKind::kMessageSend:
-      a = "\"dst\":" + std::to_string(e.peer) +
-          ",\"bytes\":" + std::to_string(e.size) +
-          ",\"system\":" + (system ? "true" : "false");
-      break;
-    case EventKind::kMessageRecv:
-      a = "\"src\":" + std::to_string(e.peer) +
-          ",\"bytes\":" + std::to_string(e.size) +
-          ",\"system\":" + (system ? "true" : "false");
-      break;
-    case EventKind::kMigrationOut:
-      a = "\"dst\":" + std::to_string(e.peer) +
-          ",\"bytes\":" + std::to_string(e.size);
-      break;
-    case EventKind::kMigrationIn:
-      a = "\"src\":" + std::to_string(e.peer) +
-          ",\"bytes\":" + std::to_string(e.size);
-      break;
-    case EventKind::kPolicyDecision:
-      a = "\"dst\":" + std::to_string(e.peer) + ",\"weight\":" + num(e.value);
-      break;
-    case EventKind::kPolicyWire:
-      a = "\"src\":" + std::to_string(e.peer) +
-          ",\"tag\":" + std::to_string(e.size);
-      break;
-    case EventKind::kPollWakeup:
-      break;
-    case EventKind::kTermWave:
-      a = "\"wave\":" + std::to_string(e.size);
-      break;
-    case EventKind::kFault:
-      a = "\"peer\":" + std::to_string(e.peer) + ",\"type\":\"" +
-          std::string(fault_type_name(static_cast<FaultType>(e.value))) +
-          "\",\"bytes\":" + std::to_string(e.size);
-      break;
-    case EventKind::kRetransmit:
-      a = "\"dst\":" + std::to_string(e.peer) +
-          ",\"seq\":" + std::to_string(e.size);
-      break;
-    case EventKind::kAck:
-      a = "\"dst\":" + std::to_string(e.peer) +
-          ",\"ack\":" + std::to_string(e.size);
-      break;
-    case EventKind::kServiceArrival:
-      a = "\"client\":" + std::to_string(e.size) + ",\"mflop\":" + num(e.value);
-      break;
-    case EventKind::kServiceComplete:
-      a = "\"client\":" + std::to_string(e.size) +
-          ",\"sojourn_s\":" + num(e.value);
-      break;
-    case EventKind::kServiceEpoch:
-      a = "\"load\":" + num(e.value);
-      break;
-    case EventKind::kPolicySfcCut:
-      a = "\"segments\":" + std::to_string(e.size) +
-          ",\"imbalance\":" + num(e.value);
-      break;
-    case EventKind::kPolicyClusterMerge:
-      a = "\"dst\":" + std::to_string(e.peer) +
-          ",\"objects\":" + std::to_string(e.size) +
-          ",\"traffic\":" + num(e.value);
-      break;
-    case EventKind::kCount:
-      break;
-  }
-  return a;
+  return {};
 }
 
 }  // namespace
@@ -191,20 +103,27 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& rec) {
                      });
     const std::string tid = std::to_string(p);
     for (const TraceEvent& e : events) {
+      const KindInfo& k = kind_info(e.kind);
       std::string line = "{\"name\":\"";
       const std::string_view custom = rec.name(e.name);
-      line += json_escape(custom.empty() ? event_kind_name(e.kind) : custom);
+      line += json_escape(custom.empty() ? k.name : custom);
       line += "\",\"cat\":\"";
-      line += chrome_category(e.kind);
+      line += k.category;
       line += "\",\"ph\":\"";
-      line += e.is_span() ? "X" : "i";
+      line += k.span ? "X" : "i";
       line += "\",\"pid\":0,\"tid\":" + tid + ",\"ts\":" + us(e.t0);
-      if (e.is_span()) {
+      if (k.span) {
         line += ",\"dur\":" + us(e.dur);
       } else {
         line += ",\"s\":\"t\"";
       }
-      const std::string args = chrome_args(e);
+      std::string args;
+      for (const KindArg& a : k.args) {
+        if (a.field == ArgField::kNone) break;
+        args += args.empty() ? "\"" : ",\"";
+        args += a.key;
+        args += "\":" + arg_json(a.field, e);
+      }
       if (!args.empty()) line += ",\"args\":{" + args + "}";
       line += "}";
       emit(line);
@@ -225,7 +144,7 @@ bool write_chrome_trace_file(const std::string& path, const TraceRecorder& rec) 
 }
 
 // ---------------------------------------------------------------------------
-// Summary / CSV
+// Summary
 // ---------------------------------------------------------------------------
 
 void write_summary(std::ostream& os, const TraceRecorder& rec,
@@ -329,40 +248,6 @@ void write_summary(std::ostream& os, const TraceRecorder& rec,
                     traced_part, ledger_part, pct(traced_part, ledger_part));
       os << buf;
     }
-  }
-}
-
-void write_counters_csv(std::ostream& os, const TraceRecorder& rec) {
-  os << "proc,work_units,work_seconds,partitions,partition_seconds,msgs_sent,"
-        "msgs_received,bytes_sent,bytes_received,migrations_out,migrations_in,"
-        "policy_decisions,policy_wire_msgs,poll_wakeups,term_waves,"
-        "faults_injected,retransmits,acks_sent,dup_drops,corrupt_drops,"
-        "events_dropped\n";
-  char buf[400];
-  for (ProcId p = 0; p < rec.nprocs(); ++p) {
-    const ProcCounters& c = rec.sink(p).counters();
-    std::snprintf(buf, sizeof buf,
-                  "%d,%llu,%.9g,%llu,%.9g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                  "%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-                  p, (unsigned long long)c.work_units, c.work_seconds,
-                  (unsigned long long)c.partitions, c.partition_seconds,
-                  (unsigned long long)c.msgs_sent,
-                  (unsigned long long)c.msgs_received,
-                  (unsigned long long)c.bytes_sent,
-                  (unsigned long long)c.bytes_received,
-                  (unsigned long long)c.migrations_out,
-                  (unsigned long long)c.migrations_in,
-                  (unsigned long long)c.policy_decisions,
-                  (unsigned long long)c.policy_wire_msgs,
-                  (unsigned long long)c.poll_wakeups,
-                  (unsigned long long)c.term_waves,
-                  (unsigned long long)c.faults_injected,
-                  (unsigned long long)c.retransmits,
-                  (unsigned long long)c.acks_sent,
-                  (unsigned long long)c.dup_drops,
-                  (unsigned long long)c.corrupt_drops,
-                  (unsigned long long)rec.sink(p).dropped());
-    os << buf;
   }
 }
 

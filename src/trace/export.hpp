@@ -17,7 +17,6 @@
 ///    (via util::RunningStats::merge), and — when the machine's TimeLedgers
 ///    are supplied — a reconciliation of traced work/partition span time
 ///    against the corresponding ledger buckets.
-///  - CSV counters: one row per processor, machine-readable.
 /// Plus a small structural checker for the emitted JSON, used by tests and
 /// the `trace_check` tool.
 ///
@@ -38,9 +37,6 @@ bool write_chrome_trace_file(const std::string& path, const TraceRecorder& rec);
 /// the ledger's Computation (+Callback) and Partition Calculation buckets.
 void write_summary(std::ostream& os, const TraceRecorder& rec,
                    std::span<const util::TimeLedger> ledgers = {});
-
-/// Per-processor counters as CSV (header + one row per processor).
-void write_counters_csv(std::ostream& os, const TraceRecorder& rec);
 
 /// Result of structurally checking a Chrome trace-event JSON document.
 struct ChromeTraceCheck {

@@ -1,47 +1,91 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "support/assert.hpp"
 
 namespace prema::trace {
 
-std::string_view event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::kWorkUnit: return "work-unit";
-    case EventKind::kPartition: return "partition";
-    case EventKind::kMessageSend: return "send";
-    case EventKind::kMessageRecv: return "recv";
-    case EventKind::kMigrationOut: return "migrate-out";
-    case EventKind::kMigrationIn: return "migrate-in";
-    case EventKind::kPolicyDecision: return "policy-decision";
-    case EventKind::kPolicyWire: return "policy-msg";
-    case EventKind::kPollWakeup: return "poll-wakeup";
-    case EventKind::kTermWave: return "term-wave";
-    case EventKind::kFault: return "fault";
-    case EventKind::kRetransmit: return "retransmit";
-    case EventKind::kAck: return "ack";
-    case EventKind::kServiceArrival: return "service-arrival";
-    case EventKind::kServiceComplete: return "service-complete";
-    case EventKind::kServiceEpoch: return "service-epoch";
-    case EventKind::kPolicySfcCut: return "policy.sfc_cut";
-    case EventKind::kPolicyClusterMerge: return "policy.cluster_merge";
-    case EventKind::kCount: break;
+namespace {
+
+using C = ProcCounters;
+using enum ArgField;
+
+/// The kind table: one KindInfo row per EventKind, in enumerator order.
+constexpr KindInfo kKinds[] = {
+    {EventKind::kWorkUnit, "work-unit", "work", true, {{"weight", kValue}},
+     &C::work_units, nullptr, &C::work_seconds},
+    {EventKind::kPartition, "partition", "partition", true, {},
+     &C::partitions, nullptr, &C::partition_seconds},
+    {EventKind::kMessageSend, "send", "msg", false,
+     {{"dst", kPeer}, {"bytes", kSize}, {"system", kSystem}},
+     &C::msgs_sent, &C::bytes_sent, nullptr, &C::msg_size},
+    {EventKind::kMessageRecv, "recv", "msg", false,
+     {{"src", kPeer}, {"bytes", kSize}, {"system", kSystem}},
+     &C::msgs_received, &C::bytes_received},
+    {EventKind::kMigrationOut, "migrate-out", "migration", false,
+     {{"dst", kPeer}, {"bytes", kSize}}, &C::migrations_out},
+    {EventKind::kMigrationIn, "migrate-in", "migration", false,
+     {{"src", kPeer}, {"bytes", kSize}}, &C::migrations_in},
+    {EventKind::kPolicyDecision, "policy-decision", "policy", false,
+     {{"dst", kPeer}, {"weight", kValue}}, &C::policy_decisions},
+    {EventKind::kPolicyWire, "policy-msg", "policy", false,
+     {{"src", kPeer}, {"tag", kSize}}, &C::policy_wire_msgs},
+    {EventKind::kPollWakeup, "poll-wakeup", "polling", false, {}, &C::poll_wakeups},
+    {EventKind::kTermWave, "term-wave", "termination", false, {{"wave", kSize}},
+     &C::term_waves},
+    {EventKind::kFault, "fault", "fault", false,
+     {{"peer", kPeer}, {"type", kFaultType}, {"bytes", kSize}}},
+    {EventKind::kRetransmit, "retransmit", "transport", false,
+     {{"dst", kPeer}, {"seq", kSize}}, &C::retransmits},
+    {EventKind::kAck, "ack", "transport", false, {{"dst", kPeer}, {"ack", kSize}},
+     &C::acks_sent},
+    {EventKind::kServiceArrival, "service-arrival", "service", false,
+     {{"client", kSize}, {"mflop", kValue}}, &C::service_arrivals},
+    {EventKind::kServiceComplete, "service-complete", "service", false,
+     {{"client", kSize}, {"sojourn_s", kValue}}, &C::service_completions},
+    {EventKind::kServiceEpoch, "service-epoch", "service", false, {{"load", kValue}},
+     &C::service_epochs},
+    {EventKind::kPolicySfcCut, "policy.sfc_cut", "policy", false,
+     {{"segments", kSize}, {"imbalance", kValue}}, &C::sfc_cuts},
+    {EventKind::kPolicyClusterMerge, "policy.cluster_merge", "policy", false,
+     {{"dst", kPeer}, {"objects", kSize}, {"traffic", kValue}}, &C::cluster_merges},
+};
+
+constexpr bool rows_complete_and_in_order() {
+  if (std::size(kKinds) != kEventKindCount) return false;
+  for (std::size_t i = 0; i < kEventKindCount; ++i) {
+    const KindInfo& k = kKinds[i];
+    if (k.kind != static_cast<EventKind>(i) || k.name.empty() || k.category.empty()) {
+      return false;
+    }
   }
-  return "?";
+  return true;
 }
+static_assert(rows_complete_and_in_order(),
+              "kKinds needs one row per EventKind, in enumerator order");
+
+/// One row per FaultType, in enumerator order: its display name and the
+/// counter a kFault event of that type bumps.
+constexpr struct {
+  std::string_view name;
+  std::uint64_t C::*count;
+} kFaults[] = {
+    {"drop", &C::faults_injected},    {"dup", &C::faults_injected},
+    {"delay", &C::faults_injected},   {"reorder", &C::faults_injected},
+    {"corrupt", &C::faults_injected}, {"dup-dropped", &C::dup_drops},
+    {"corrupt-dropped", &C::corrupt_drops},
+};
+static_assert(std::size(kFaults) ==
+              static_cast<std::size_t>(FaultType::kCorruptDropped) + 1);
+
+}  // namespace
+
+const KindInfo& kind_info(EventKind k) { return kKinds[static_cast<std::size_t>(k)]; }
 
 std::string_view fault_type_name(FaultType t) {
-  switch (t) {
-    case FaultType::kDrop: return "drop";
-    case FaultType::kDuplicate: return "dup";
-    case FaultType::kDelay: return "delay";
-    case FaultType::kReorder: return "reorder";
-    case FaultType::kCorrupt: return "corrupt";
-    case FaultType::kDupDropped: return "dup-dropped";
-    case FaultType::kCorruptDropped: return "corrupt-dropped";
-  }
-  return "?";
+  return kFaults[static_cast<std::size_t>(t)].name;
 }
 
 // ---------------------------------------------------------------------------
@@ -81,12 +125,17 @@ std::vector<TraceEvent> TraceBuffer::events() const {
 TraceSink::TraceSink(TraceRecorder& rec, ProcId proc, std::size_t capacity)
     : rec_(rec), proc_(proc), buf_(capacity) {}
 
-void TraceSink::push(const TraceEvent& e) {
-  util::LockGuard g(mu_);
-  push_locked(e);
+void TraceSink::push_locked(const TraceEvent& e) {
+  buf_.push(e);
+  const KindInfo& k = kind_info(e.kind);
+  const auto count = e.kind == EventKind::kFault
+                         ? kFaults[static_cast<std::size_t>(e.value)].count
+                         : k.count;
+  if (count) ++(counters_.*count);
+  if (k.bytes) counters_.*k.bytes += e.size;
+  if (k.seconds) counters_.*k.seconds += e.dur;
+  if (k.sizes) (counters_.*k.sizes).add(static_cast<double>(e.size));
 }
-
-void TraceSink::push_locked(const TraceEvent& e) { buf_.push(e); }
 
 void TraceSink::work_begin(double t) {
   util::LockGuard g(mu_);
@@ -109,8 +158,6 @@ void TraceSink::work_end(double t) {
   work_open_ = false;
   work_.dur = std::max(0.0, t - work_.t0);
   push_locked(work_);
-  ++counters_.work_units;
-  counters_.work_seconds += work_.dur;
 }
 
 void TraceSink::span(EventKind kind, double t0, double dur, StrId name) {
@@ -121,206 +168,25 @@ void TraceSink::span(EventKind kind, double t0, double dur, StrId name) {
   e.name = name;
   util::LockGuard g(mu_);
   push_locked(e);
-  if (kind == EventKind::kPartition) {
-    ++counters_.partitions;
-    counters_.partition_seconds += dur;
-  }
 }
 
-void TraceSink::message_send(double t, ProcId dst, std::size_t bytes, bool system) {
+void TraceSink::record(EventKind kind, double t, ProcId peer, std::uint64_t size,
+                       double value, StrId name, bool system) {
   TraceEvent e;
-  e.kind = EventKind::kMessageSend;
-  e.t0 = t;
-  e.peer = dst;
-  e.size = bytes;
-  if (system) e.flags |= TraceEvent::kFlagSystem;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.msgs_sent;
-  counters_.bytes_sent += bytes;
-  counters_.msg_size.add(static_cast<double>(bytes));
-}
-
-void TraceSink::message_recv(double t, ProcId src, std::size_t bytes, bool system) {
-  TraceEvent e;
-  e.kind = EventKind::kMessageRecv;
-  e.t0 = t;
-  e.peer = src;
-  e.size = bytes;
-  if (system) e.flags |= TraceEvent::kFlagSystem;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.msgs_received;
-  counters_.bytes_received += bytes;
-}
-
-void TraceSink::migration_out(double t, ProcId dst, std::size_t bytes) {
-  TraceEvent e;
-  e.kind = EventKind::kMigrationOut;
-  e.t0 = t;
-  e.peer = dst;
-  e.size = bytes;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.migrations_out;
-}
-
-void TraceSink::migration_in(double t, ProcId src, std::size_t bytes) {
-  TraceEvent e;
-  e.kind = EventKind::kMigrationIn;
-  e.t0 = t;
-  e.peer = src;
-  e.size = bytes;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.migrations_in;
-}
-
-void TraceSink::policy_decision(double t, ProcId dst, double weight,
-                                StrId policy_name) {
-  TraceEvent e;
-  e.kind = EventKind::kPolicyDecision;
-  e.t0 = t;
-  e.peer = dst;
-  e.value = weight;
-  e.name = policy_name;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.policy_decisions;
-}
-
-void TraceSink::policy_wire(double t, ProcId src, std::uint8_t tag) {
-  TraceEvent e;
-  e.kind = EventKind::kPolicyWire;
-  e.t0 = t;
-  e.peer = src;
-  e.size = tag;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.policy_wire_msgs;
-}
-
-void TraceSink::poll_wakeup(double t) {
-  TraceEvent e;
-  e.kind = EventKind::kPollWakeup;
-  e.t0 = t;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.poll_wakeups;
-}
-
-void TraceSink::term_wave(double t, std::uint64_t wave) {
-  TraceEvent e;
-  e.kind = EventKind::kTermWave;
-  e.t0 = t;
-  e.size = wave;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.term_waves;
-}
-
-void TraceSink::fault(double t, ProcId peer, FaultType type, std::size_t bytes) {
-  TraceEvent e;
-  e.kind = EventKind::kFault;
+  e.kind = kind;
   e.t0 = t;
   e.peer = peer;
-  e.size = bytes;
-  e.value = static_cast<double>(type);
+  e.size = size;
+  e.value = value;
+  e.name = name;
+  if (system) e.flags |= TraceEvent::kFlagSystem;
   util::LockGuard g(mu_);
   push_locked(e);
-  switch (type) {
-    case FaultType::kDupDropped: ++counters_.dup_drops; break;
-    case FaultType::kCorruptDropped: ++counters_.corrupt_drops; break;
-    default: ++counters_.faults_injected; break;
-  }
-}
-
-void TraceSink::retransmit(double t, ProcId dst, std::uint32_t seq) {
-  TraceEvent e;
-  e.kind = EventKind::kRetransmit;
-  e.t0 = t;
-  e.peer = dst;
-  e.size = seq;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.retransmits;
-}
-
-void TraceSink::ack(double t, ProcId dst, std::uint32_t cumulative) {
-  TraceEvent e;
-  e.kind = EventKind::kAck;
-  e.t0 = t;
-  e.peer = dst;
-  e.size = cumulative;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.acks_sent;
-}
-
-void TraceSink::service_arrival(double t, std::uint64_t client, double mflop) {
-  TraceEvent e;
-  e.kind = EventKind::kServiceArrival;
-  e.t0 = t;
-  e.size = client;
-  e.value = mflop;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.service_arrivals;
-}
-
-void TraceSink::service_complete(double t, std::uint64_t client, double sojourn_s) {
-  TraceEvent e;
-  e.kind = EventKind::kServiceComplete;
-  e.t0 = t;
-  e.size = client;
-  e.value = sojourn_s;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.service_completions;
-}
-
-void TraceSink::service_epoch(double t, double load) {
-  TraceEvent e;
-  e.kind = EventKind::kServiceEpoch;
-  e.t0 = t;
-  e.value = load;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.service_epochs;
-}
-
-void TraceSink::policy_sfc_cut(double t, std::size_t segments, double imbalance) {
-  TraceEvent e;
-  e.kind = EventKind::kPolicySfcCut;
-  e.t0 = t;
-  e.size = segments;
-  e.value = imbalance;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.sfc_cuts;
-}
-
-void TraceSink::policy_cluster_merge(double t, ProcId dst, std::size_t objects,
-                                     double traffic) {
-  TraceEvent e;
-  e.kind = EventKind::kPolicyClusterMerge;
-  e.t0 = t;
-  e.peer = dst;
-  e.size = objects;
-  e.value = traffic;
-  util::LockGuard g(mu_);
-  push_locked(e);
-  ++counters_.cluster_merges;
 }
 
 ProcCounters TraceSink::counters() const {
   util::LockGuard g(mu_);
   return counters_;
-}
-
-void TraceSink::sample_queue_depth(double queued_units) {
-  util::LockGuard g(mu_);
-  counters_.queue_depth.add(queued_units);
 }
 
 void TraceSink::sample_migrations_round(double objects_moved) {

@@ -38,39 +38,34 @@
 /// clock domain: virtual time on dmcs::SimMachine, steady-clock wall time on
 /// dmcs::ThreadMachine.
 
-#ifndef PREMA_TRACE
-#define PREMA_TRACE 1
-#endif
-
 namespace prema::trace {
-
-/// True when the subsystem is compiled in (CMake option PREMA_TRACE).
-/// When false, dmcs::Machine::enable_tracing is a no-op returning nullptr,
-/// which turns every instrumentation site back into the untraced path.
-inline constexpr bool kCompiledIn = PREMA_TRACE != 0;
 
 /// Interned-string id (see TraceRecorder::intern). 0 is the empty string.
 using StrId = std::uint32_t;
 
+/// What an event records. Each kind's display name, Chrome category, phase,
+/// args and counter bumps are one row of the kind table (kind_info); a new
+/// kind is one enumerator here, one row there and, if it is counted, one
+/// ProcCounters field.
 enum class EventKind : std::uint8_t {
-  kWorkUnit = 0,    ///< span: one scheduled work-unit activity (name=handler)
+  kWorkUnit = 0,    ///< span: one work-unit activity (name=handler, value=weight)
   kPartition,       ///< span: (re)partitioner execution
-  kMessageSend,     ///< instant: peer=dst, size=bytes
-  kMessageRecv,     ///< instant: peer=src, size=bytes
-  kMigrationOut,    ///< instant: peer=dst, size=serialized bytes
-  kMigrationIn,     ///< instant: peer=src, size=serialized bytes
-  kPolicyDecision,  ///< instant: policy chose to migrate (peer=dst, name=policy)
-  kPolicyWire,      ///< instant: policy protocol message arrived (size=tag)
-  kPollWakeup,      ///< instant: preemptive polling-thread wakeup
-  kTermWave,        ///< instant: termination-detector wave launched (size=wave)
-  kFault,           ///< instant: injected/absorbed fault (value=FaultType, peer, size=bytes)
-  kRetransmit,      ///< instant: reliable-transport retransmission (peer=dst, size=seq)
-  kAck,             ///< instant: bare cumulative ack sent (peer=dst, size=ack value)
-  kServiceArrival,  ///< instant: open-loop request injected (size=client, value=Mflop)
-  kServiceComplete, ///< instant: request handler finished (size=client, value=sojourn s)
-  kServiceEpoch,    ///< instant: service-mode epoch tick (value=sampled load)
-  kPolicySfcCut,    ///< instant: sfc coordinator recut the curve (size=segments, value=imbalance)
-  kPolicyClusterMerge,  ///< instant: cluster policy co-migrated a batch (peer=dst, size=objects, value=traffic)
+  kMessageSend,     ///< peer=dst, size=bytes, system flag
+  kMessageRecv,     ///< peer=src, size=bytes, system flag
+  kMigrationOut,    ///< peer=dst, size=serialized bytes
+  kMigrationIn,     ///< peer=src, size=serialized bytes
+  kPolicyDecision,  ///< policy chose to migrate (peer=dst, value=weight, name=policy)
+  kPolicyWire,      ///< policy protocol message arrived (peer=src, size=tag)
+  kPollWakeup,      ///< preemptive polling-thread wakeup
+  kTermWave,        ///< termination-detector wave launched (size=wave)
+  kFault,           ///< injected/absorbed fault (peer, size=bytes, value=FaultType)
+  kRetransmit,      ///< reliable-transport retransmission (peer=dst, size=seq)
+  kAck,             ///< bare cumulative ack sent (peer=dst, size=ack value)
+  kServiceArrival,  ///< open-loop request injected (size=client, value=Mflop)
+  kServiceComplete, ///< request handler finished (size=client, value=sojourn s)
+  kServiceEpoch,    ///< service-mode epoch tick (value=sampled load)
+  kPolicySfcCut,    ///< sfc recut (size=segments, value=max/mean segment load)
+  kPolicyClusterMerge,  ///< cluster batch (peer=dst, size=objects, value=mutual bytes)
   kCount
 };
 
@@ -92,26 +87,47 @@ std::string_view fault_type_name(FaultType t);
 
 constexpr std::size_t kEventKindCount = static_cast<std::size_t>(EventKind::kCount);
 
-/// Display label for an event kind ("work-unit", "send", ...).
-std::string_view event_kind_name(EventKind k);
-
 /// One recorded event. Fixed-size POD so the ring buffer is a flat array.
 struct TraceEvent {
   double t0 = 0.0;         ///< start time, seconds
   double dur = 0.0;        ///< span duration (0 for instants)
-  std::uint64_t size = 0;  ///< bytes / tag / wave number, per kind
-  double value = 0.0;      ///< application weight hint (work units, decisions)
-  std::int32_t peer = -1;  ///< the other processor (src or dst), -1 if none
+  std::uint64_t size = 0;  ///< bytes / tag / wave / seq / client, per kind
+  double value = 0.0;      ///< weight / Mflop / seconds / FaultType, per kind
+  ProcId peer = kNoProc;   ///< the other processor (src or dst), if any
   StrId name = 0;          ///< interned label (handler / policy name)
   EventKind kind = EventKind::kWorkUnit;
   std::uint8_t flags = 0;  ///< kFlagSystem for system-kind messages
 
   static constexpr std::uint8_t kFlagSystem = 1;
-
-  [[nodiscard]] bool is_span() const {
-    return kind == EventKind::kWorkUnit || kind == EventKind::kPartition;
-  }
 };
+
+/// The TraceEvent field a Chrome arg prints.
+enum class ArgField : std::uint8_t { kNone, kPeer, kSize, kValue, kFaultType, kSystem };
+
+struct KindArg {
+  std::string_view key;
+  ArgField field = ArgField::kNone;
+};
+
+/// One row of the kind table: everything the sinks and the exporters know
+/// about an EventKind.
+struct KindInfo {
+  EventKind kind;
+  std::string_view name;      ///< display label ("work-unit", "send", ...)
+  std::string_view category;  ///< Chrome trace "cat"
+  bool span;                  ///< exported as a complete ("X") event
+  KindArg args[3];            ///< Chrome "args", in output order
+  /// ProcCounters fields each event bumps (null: none): `count` by one
+  /// (kFault picks its field by FaultType instead), `bytes` by size,
+  /// `seconds` by the span duration, and `sizes` samples size.
+  std::uint64_t ProcCounters::*count = nullptr;
+  std::uint64_t ProcCounters::*bytes = nullptr;
+  double ProcCounters::*seconds = nullptr;
+  Histogram ProcCounters::*sizes = nullptr;
+};
+
+/// The kind table row for `k`.
+const KindInfo& kind_info(EventKind k);
 
 /// Fixed-capacity ring of TraceEvents that keeps the *newest* events.
 class TraceBuffer {
@@ -164,49 +180,22 @@ class TraceSink {
   /// A closed span (partition calculation etc.) that ran [t0, t0+dur].
   void span(EventKind kind, double t0, double dur, StrId name = 0);
 
-  // -- instants -----------------------------------------------------------
-  void message_send(double t, ProcId dst, std::size_t bytes, bool system);
-  void message_recv(double t, ProcId src, std::size_t bytes, bool system);
-  void migration_out(double t, ProcId dst, std::size_t bytes);
-  void migration_in(double t, ProcId src, std::size_t bytes);
-  void policy_decision(double t, ProcId dst, double weight, StrId policy_name);
-  void policy_wire(double t, ProcId src, std::uint8_t tag);
-  void poll_wakeup(double t);
-  void term_wave(double t, std::uint64_t wave);
-  /// A fault was injected on (or absorbed from) the link to/from `peer`.
-  void fault(double t, ProcId peer, FaultType type, std::size_t bytes);
-  /// The reliable transport retransmitted seq `seq` toward `dst`.
-  void retransmit(double t, ProcId dst, std::uint32_t seq);
-  /// A bare cumulative ack was sent toward `dst`.
-  void ack(double t, ProcId dst, std::uint32_t cumulative);
+  /// An instant event: the fields `kind` uses are listed with its enumerator.
+  void record(EventKind kind, double t, ProcId peer = kNoProc, std::uint64_t size = 0,
+              double value = 0.0, StrId name = 0, bool system = false);
+  /// record(kServiceComplete, ...) under its per-kind name, which
+  /// perfbench/ records request completions through.
+  void service_complete(double t, std::uint64_t client, double sojourn_s) {
+    record(EventKind::kServiceComplete, t, kNoProc, client, sojourn_s);
+  }
 
-  // -- service mode (open-loop arrivals, see src/service) -----------------
-  /// An arrival-generator request was injected for `client` at cost `mflop`.
-  void service_arrival(double t, std::uint64_t client, double mflop);
-  /// A request for `client` completed with the given sojourn latency.
-  void service_complete(double t, std::uint64_t client, double sojourn_s);
-  /// An epoch tick fired; `load` is the scheduler load sampled at the tick.
-  void service_epoch(double t, double load);
-
-  // -- topology policies (sfc / cluster, see src/ilb/policies) ------------
-  /// The sfc coordinator recut the curve into `segments` pieces; `imbalance`
-  /// is max-segment-load / mean-segment-load at the cut.
-  void policy_sfc_cut(double t, std::size_t segments, double imbalance);
-  /// The cluster policy shipped `objects` co-communicating objects to `dst`;
-  /// `traffic` is the mutual traffic (bytes) that bound the batch together.
-  void policy_cluster_merge(double t, ProcId dst, std::size_t objects,
-                            double traffic);
-
-  // -- counters / introspection ------------------------------------------
   /// Lightweight per-processor counters and histograms, updated under the
   /// sink lock alongside every recorded event. Returns a snapshot copy so
   /// readers never observe a half-updated histogram.
   [[nodiscard]] ProcCounters counters() const;
 
-  /// Distribution samples recorded by layers whose data the event stream
-  /// does not carry (the ILB balancer): scheduler queue depth at enqueue and
-  /// objects migrated per balancing round.
-  void sample_queue_depth(double queued_units);
+  /// Objects migrated per balancing round, sampled by the ILB balancer
+  /// (the event stream does not carry round boundaries).
   void sample_migrations_round(double objects_moved);
 
   [[nodiscard]] ProcId proc() const { return proc_; }
@@ -216,7 +205,7 @@ class TraceSink {
   [[nodiscard]] std::uint64_t dropped() const;
 
  private:
-  void push(const TraceEvent& e);
+  /// Buffer `e` and bump the counters its kind table row names.
   void push_locked(const TraceEvent& e) PREMA_REQUIRES(mu_);
 
   TraceRecorder& rec_;

@@ -104,6 +104,17 @@ TEST(SyntheticBench, DeterministicAcrossRuns) {
   EXPECT_EQ(a.migrations, b.migrations);
 }
 
+TEST(SyntheticBench, NoLbPanelIgnoresThePolicyOverride) {
+  // --policy selects the balancer of the balancing panels; panel (a) stays
+  // the unbalanced baseline, so it must neither migrate nor change makespan.
+  auto cfg = small_config(0.5, 500.0);
+  const RunReport plain = run_synthetic(System::kNoLB, cfg);
+  cfg.policy = "work_stealing";
+  const RunReport overridden = run_synthetic(System::kNoLB, cfg);
+  EXPECT_EQ(overridden.migrations, 0u);
+  EXPECT_DOUBLE_EQ(overridden.makespan, plain.makespan);
+}
+
 TEST(MeshAppBench, AllSystemsBuildTheSameMesh) {
   MeshAppConfig cfg;
   cfg.nprocs = 8;

@@ -14,7 +14,7 @@
 /// the exported Chrome trace JSON byte-identically. Everything in Figures
 /// 3-6 rests on this; a stray wall-clock read or iteration over a
 /// pointer-keyed container would break it silently, which is why the trace
-/// comparison is byte-wise on the files (and why prema_lint bans
+/// comparison is byte-wise on the files (and why prema_analyze bans
 /// steady_clock/rand()/time() outside the thread backend).
 
 namespace prema::bench {

@@ -351,7 +351,6 @@ TEST(FaultSim, ExactlyOnceFifoUnderOneSlowNode) {
 }
 
 TEST(FaultSim, FaultFreeRunKeepsReliabilityCountersZero) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   sim::MachineConfig cfg;
   cfg.nprocs = 4;
   dmcs::SimMachine m(cfg);  // no fault plan: legacy transport
@@ -383,7 +382,6 @@ TEST(FaultSim, FaultFreeRunKeepsReliabilityCountersZero) {
 }
 
 TEST(FaultSim, LossyRunRecordsFaultAndRecoveryCounters) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "tracing compiled out";
   sim::MachineConfig cfg;
   cfg.nprocs = 2;
   dmcs::SimMachine m(cfg);

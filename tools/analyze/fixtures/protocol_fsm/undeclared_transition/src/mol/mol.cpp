@@ -3,7 +3,7 @@
 void Mol::migrate_locked(Ptr ptr, int dst) {
   local_.erase(ptr);
   forwarding_[ptr] = dst;
-  trace_->migration_out(1.0, dst, 0);
+  trace_->record(EventKind::kMigrationOut, 1.0, dst, 0);
 }
 
 void Mol::rogue_install(Ptr ptr) {

@@ -134,8 +134,7 @@ bool allowed(std::string_view rule, std::string_view rel) {
 // ---------------------------------------------------------------------------
 // Self-test snippets: every rule must fire on a seeded violation and stay
 // silent on the idiomatic legal spelling of the same thing. Kept verbatim
-// from the original prema_lint so `prema_lint --self-test` behavior is
-// preserved through the alias.
+// from the original prema_lint; `prema_analyze --self-test` runs them.
 // ---------------------------------------------------------------------------
 
 struct Snippet {

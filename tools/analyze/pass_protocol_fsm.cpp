@@ -6,7 +6,7 @@
 //   files dmcs/reliable
 //   var next_seq pending expected buffer
 //   transition stamp fn=stamp writes=next_seq,pending
-//   transition retx fn=on_retransmit_timer files=dmcs/sim emits=retransmit
+//   transition retx fn=on_retransmit_timer files=dmcs/sim emits=kRetransmit
 //
 // The pass then checks, whole-program via the symbol index:
 //
@@ -16,9 +16,11 @@
 //  protocol-fsm-extra-write  a transition's implementation writes a protocol
 //                            state variable its declaration does not grant.
 //  protocol-fsm-missing-emit a transition bound to a trace event
-//                            (emits=<event>) never calls the TraceSink hook
-//                            of that name — the protocol would mutate state
-//                            invisibly to the replay/validation tooling.
+//                            (emits=<event>) never names it: neither the
+//                            EventKind enumerator passed to TraceSink::record
+//                            nor a call of that name appears in its body —
+//                            the protocol would mutate state invisibly to
+//                            the replay/validation tooling.
 //  protocol-fsm-undeclared   a function inside the protocol's owning files
 //                            mutates protocol state without being declared
 //                            as a transition at all.
@@ -111,7 +113,7 @@ void pass_protocol_fsm(const Tree& tree, const Options& opts, Findings& out) {
           const std::size_t member =
               find_member_call(body, t.emits, fn.body_begin);
           const std::size_t plain =
-              find_ident(body, t.emits, fn.body_begin, true, true);
+              find_ident(body, t.emits, fn.body_begin, true, false);
           if (member == std::string_view::npos &&
               plain == std::string_view::npos &&
               !allow_comment(f, fn.name_pos, "protocol-fsm-missing-emit")) {

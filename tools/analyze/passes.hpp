@@ -85,15 +85,14 @@ const std::vector<PassInfo>& all_passes();
 /// Run every pass over `tree`, appending findings in pass order.
 void run_all_passes(const Tree& tree, const Options& opts, Findings& out);
 
-// -- legacy prema_lint compatibility ----------------------------------------
+// -- conventions scanner ----------------------------------------------------
 
-/// The original prema_lint scan of one in-memory file (conventions rules
-/// only), kept callable so the prema_lint alias preserves its exact CLI
-/// behavior and self-test snippets.
+/// The conventions scan of one in-memory file, shared by the conventions
+/// pass and its self-test snippets.
 void lint_content(const std::string& rel, std::string_view raw, Findings& out);
 
-/// Run the original prema_lint self-test snippets. Returns the number of
-/// failures; prints each failure to stderr.
+/// Run the conventions self-test snippets (part of --self-test). Returns the
+/// number of failures; prints each failure to stderr.
 int legacy_self_test(std::size_t& cases_out);
 
 /// prema_analyze's own self-test: per-pass positive/negative synthetic

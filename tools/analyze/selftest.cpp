@@ -349,6 +349,27 @@ std::vector<TreeCase> tree_cases() {
                    {{"dmcs/x.cpp",
                      "void do_step() { st_ = 1; trace_->step_done(1); }\n"}},
                    "", "", nullptr, {{"demo", kEmitSpec}}});
+  const char* kKindSpec =
+      "protocol demo\n"
+      "files dmcs/\n"
+      "var st_\n"
+      "transition step fn=do_step writes=st_ emits=kStepDone\n";
+  cases.push_back({"protocol-fsm: recording the bound event kind is clean",
+                   pass_protocol_fsm,
+                   {{"dmcs/x.cpp",
+                     "void do_step() {\n"
+                     "  st_ = 1;\n"
+                     "  trace_->record(EventKind::kStepDone, now(), -1, 0);\n"
+                     "}\n"}},
+                   "", "", nullptr, {{"demo", kKindSpec}}});
+  cases.push_back({"protocol-fsm: recording another kind still misses the emit",
+                   pass_protocol_fsm,
+                   {{"dmcs/x.cpp",
+                     "void do_step() {\n"
+                     "  st_ = 1;\n"
+                     "  trace_->record(EventKind::kStepBegun, now());\n"
+                     "}\n"}},
+                   "", "", "protocol-fsm-missing-emit", {{"demo", kKindSpec}}});
   cases.push_back({"protocol-fsm: transition function missing from the tree",
                    pass_protocol_fsm,
                    {{"dmcs/x.cpp", "void other() { touch(); }\n"}},
