@@ -4,7 +4,9 @@
 // complementing the virtual-time experiment binaries.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "dmcs/sim_machine.hpp"
 #include "ilb/scheduler.hpp"
@@ -43,6 +45,25 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+// Schedule n events, cancel every other one, drain: the cancellation path
+// (retransmit timers, re-armed service passes, interrupts) at a size that
+// fits in cache and at one that does not.
+void BM_EventQueueScheduleCancelRun(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  std::vector<sim::EventId> ids(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    sim::EventQueue q;
+    for (int i = 0; i < n; ++i) {
+      const auto t = static_cast<double>((std::int64_t{i} * 7919) % n);
+      ids[static_cast<std::size_t>(i)] = q.schedule(t, [] {});
+    }
+    for (int i = 0; i < n; i += 2) q.cancel(ids[static_cast<std::size_t>(i)]);
+    while (!q.empty()) benchmark::DoNotOptimize(q.run_next());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_EventQueueScheduleCancelRun)->Arg(1000)->Arg(100000);
 
 void BM_SchedulerEnqueuePick(benchmark::State& state) {
   const auto objects = static_cast<std::uint32_t>(state.range(0));

@@ -224,12 +224,15 @@ void SimNode::send_self_after(double delay_s, Message msg) {
   msg.internal = true;
   const sim::SimTime arrival =
       std::max(proc_.clock(), eng_.now()) + std::max(delay_s, 1e-9);
-  auto id_box = std::make_shared<sim::EventId>(sim::kNoEvent);
-  *id_box = eng_.at(arrival, [this, id_box, m = std::move(msg)]() mutable {
-    timer_events_.erase(*id_box);
+  timer_events_.push_back(eng_.at(arrival, [this, m = std::move(msg)]() mutable {
+    // A pending timer is always listed: cancel_timers() unlists what it
+    // cancels, and a cancelled event never fires.
+    auto it = std::find(timer_events_.begin(), timer_events_.end(), eng_.firing());
+    PREMA_CHECK_MSG(it != timer_events_.end(), "firing timer is not listed");
+    *it = timer_events_.back();
+    timer_events_.pop_back();
     on_arrival(std::move(m));
-  });
-  timer_events_.insert(*id_box);
+  }));
 }
 
 void SimNode::cancel_timers() {

@@ -3,7 +3,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "dmcs/machine.hpp"
@@ -123,9 +122,10 @@ class SimNode final : public Node {
   double captured_s_ = 0.0;
   std::vector<std::pair<ProcId, Message>> deferred_sends_;
 
-  // Pending send_self_after timer events (cancellable). Ordered set so
-  // cancel_timers() walks them deterministically.
-  std::set<sim::EventId> timer_events_;
+  // Pending send_self_after timer events, cancelled by cancel_timers(). A
+  // node holds a handful at a time, so a flat list; cancellation order has
+  // no effect on the run.
+  std::vector<sim::EventId> timer_events_;
 
   // Reliable transport (created in start() when a fault plan is active).
   // The retransmit event is deliberately *not* in timer_events_: termination

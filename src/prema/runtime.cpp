@@ -95,9 +95,18 @@ struct Runtime::NodeRt {
 
 /// Rank-0 state for the counting-wave quiescence detector.
 struct Runtime::TermCoordinator {
+  explicit TermCoordinator(int nprocs)
+      : sent(static_cast<std::size_t>(nprocs), -1),
+        recv(static_cast<std::size_t>(nprocs), -1) {}
+
+  /// Each rank's last idle report (-1: never reported). Written only by
+  /// term_record_report, which keeps the three running tallies below in step
+  /// with them, so the wave check is O(1) rather than a pass over all ranks.
   std::vector<std::int64_t> sent;
   std::vector<std::int64_t> recv;
-  int reported = 0;
+  int reported = 0;           ///< ranks whose slot is >= 0
+  std::int64_t sent_sum = 0;  ///< sum of max(0, sent[p])
+  std::int64_t recv_sum = 0;  ///< sum of max(0, recv[p])
 
   std::uint64_t wave = 0;
   bool wave_active = false;
@@ -186,9 +195,7 @@ Runtime::Runtime(dmcs::Machine& machine, RuntimeConfig cfg)
   // Construction is single-threaded (no workers yet); the assert only tells
   // the thread-safety analysis so.
   assert_coord_held();
-  term_ = std::make_unique<TermCoordinator>();
-  term_->sent.assign(static_cast<std::size_t>(machine_.nprocs()), -1);
-  term_->recv.assign(static_cast<std::size_t>(machine_.nprocs()), -1);
+  term_ = std::make_unique<TermCoordinator>(machine_.nprocs());
 
   nodes_.reserve(static_cast<std::size_t>(machine_.nprocs()));
   for (ProcId p = 0; p < machine_.nprocs(); ++p) {
@@ -447,8 +454,7 @@ void Runtime::term_on_idle(NodeRt& r) {
   w.put<std::int64_t>(recv);
   if (r.node->rank() == 0) {
     assert_coord_held();  // rank 0's state lock *is* the coordinator lock
-    term_->sent[0] = sent;
-    term_->recv[0] = recv;
+    term_record_report(0, sent, recv);
     term_consider_wave(r);
     return;
   }
@@ -459,21 +465,25 @@ void Runtime::term_consider_wave(NodeRt& r0) {
   r0.assert_state_held();
   PREMA_CHECK(r0.node->rank() == 0);
   assert_coord_held();
-  auto& c = *term_;
+  const auto& c = *term_;
   if (c.wave_active || term_detected_) return;
-  std::int64_t sent_sum = 0;
-  std::int64_t recv_sum = 0;
-  for (ProcId p = 0; p < static_cast<ProcId>(c.sent.size()); ++p) {
-    if (c.sent[static_cast<std::size_t>(p)] < 0 && p != 0) return;  // not all reported
-    sent_sum += std::max<std::int64_t>(0, c.sent[static_cast<std::size_t>(p)]);
-    recv_sum += std::max<std::int64_t>(0, c.recv[static_cast<std::size_t>(p)]);
-  }
-  if (c.sent[0] < 0) return;
-  PREMA_LOG_DEBUG("term: wave check sent=%lld recv=%lld", (long long)sent_sum,
-                  (long long)recv_sum);
-  if (sent_sum != recv_sum) return;
+  if (c.reported < static_cast<int>(c.sent.size())) return;  // not all reported
+  PREMA_LOG_DEBUG("term: wave check sent=%lld recv=%lld", (long long)c.sent_sum,
+                  (long long)c.recv_sum);
+  if (c.sent_sum != c.recv_sum) return;
 
-  term_start_wave(r0, static_cast<std::uint64_t>(sent_sum));
+  term_start_wave(r0, static_cast<std::uint64_t>(c.sent_sum));
+}
+
+void Runtime::term_record_report(ProcId p, std::int64_t sent, std::int64_t recv) {
+  assert_coord_held();
+  auto& c = *term_;
+  const auto i = static_cast<std::size_t>(p);
+  c.reported += (sent >= 0 ? 1 : 0) - (c.sent[i] >= 0 ? 1 : 0);
+  c.sent_sum += std::max<std::int64_t>(0, sent) - std::max<std::int64_t>(0, c.sent[i]);
+  c.recv_sum += std::max<std::int64_t>(0, recv) - std::max<std::int64_t>(0, c.recv[i]);
+  c.sent[i] = sent;
+  c.recv[i] = recv;
 }
 
 void Runtime::term_start_wave(NodeRt& r0, std::uint64_t snapshot) {
@@ -594,9 +604,7 @@ void Runtime::term_on_wire(NodeRt& r, Message&& msg) {
       // wire:prema.term.report unpack reader
       const auto sent = reader.get<std::int64_t>();
       const auto recv = reader.get<std::int64_t>();
-      auto& c = *term_;
-      c.sent[static_cast<std::size_t>(msg.src)] = sent;
-      c.recv[static_cast<std::size_t>(msg.src)] = recv;
+      term_record_report(msg.src, sent, recv);
       term_consider_wave(r);
       return;
     }

@@ -184,6 +184,7 @@ class Runtime {
   void term_send(ProcId from, ProcId to, std::vector<std::uint8_t> payload);
   void term_on_idle(NodeRt& rt);
   void term_on_wire(NodeRt& rt, dmcs::Message&& msg);
+  void term_record_report(ProcId p, std::int64_t sent, std::int64_t recv);
   void term_consider_wave(NodeRt& r0);
   void term_start_wave(NodeRt& r0, std::uint64_t snapshot);
   void term_schedule_retry(NodeRt& r0);

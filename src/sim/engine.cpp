@@ -59,11 +59,13 @@ RunStats Engine::run(std::uint64_t max_events, SimTime max_time) {
       stats.hit_time_limit = true;
       break;
     }
-    auto [time, fn] = queue_.pop();
-    now_ = time;  // callbacks observe the time they fire at
-    fn();
+    EventQueue::Popped ev = queue_.pop();
+    now_ = ev.time;  // callbacks observe the time they fire at
+    firing_ = ev.id;
+    ev.fn();
     ++stats.events;
   }
+  firing_ = kNoEvent;
   stats.end_time = now_;
   return stats;
 }

@@ -93,6 +93,9 @@ class Engine {
   /// Schedule `fn` `delay` seconds from now.
   EventId after(SimTime delay, std::function<void()> fn);
   void cancel(EventId id) { queue_.cancel(id); }
+  /// Id of the event whose callback is running (kNoEvent outside run()), so
+  /// a callback can find its own handle without capturing it.
+  [[nodiscard]] EventId firing() const { return firing_; }
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
@@ -105,6 +108,7 @@ class Engine {
   EventQueue queue_;
   std::vector<ProcState> procs_;
   SimTime now_ = 0.0;
+  EventId firing_ = kNoEvent;
 };
 
 }  // namespace prema::sim

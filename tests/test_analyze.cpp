@@ -113,6 +113,11 @@ TEST(AnalyzeFixtures, ProtocolFsmMissingEmit) {
             expected("protocol_fsm/missing_emit"));
 }
 
+TEST(AnalyzeFixtures, ProtocolFsmStrayTallyWrite) {
+  EXPECT_EQ(analyze_fixture("protocol_fsm/stray_tally_write"),
+            expected("protocol_fsm/stray_tally_write"));
+}
+
 TEST(AnalyzeFixtures, SimPurityUnorderedIteration) {
   EXPECT_EQ(analyze_fixture("sim_purity/unordered_iter"),
             expected("sim_purity/unordered_iter"));

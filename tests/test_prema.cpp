@@ -42,6 +42,8 @@ struct RunResult {
   bool termination_detected = false;
   std::uint64_t migrations = 0;
   double total_polling_time = 0.0;
+  std::uint64_t termination_waves = 0;
+  std::uint64_t events = 0;  ///< emulator events fired
 };
 
 /// All work initially on rank 0: `objects` widgets, one `unit_seconds` unit
@@ -83,6 +85,8 @@ RunResult run_imbalanced(const std::string& policy, int nprocs, int objects,
   res.makespan = rt.run();
   res.executed = *executed;
   res.termination_detected = rt.termination_detected();
+  res.termination_waves = rt.termination_waves();
+  res.events = machine.run_stats().events;
   for (ProcId p = 0; p < nprocs; ++p) {
     auto& mol = rt.mol_at(p);
     for (const auto& ptr : mol.local_ptrs()) {
@@ -116,6 +120,24 @@ TEST(PremaIntegration, WorkStealingSpreadsTheLoad) {
   // balancing (ramp-up and transfer costs keep it above ideal).
   EXPECT_LT(ws.makespan, 0.6 * null_r.makespan);
   EXPECT_GE(ws.makespan, 0.4);
+}
+
+TEST(PremaIntegration, CountingWaveAtScaleMatchesParent) {
+  // 1024 processors, every unit starting on rank 0: most ranks report idle
+  // many times before work reaches them, so the coordinator's report tally
+  // and the event queue's cancellations are exercised at scale. The
+  // figures are pinned exactly to what the detector that re-summed every
+  // report slot and the hash-set event queue produced: a change to the
+  // detector's bookkeeping or to the event order shows up here.
+  const auto r =
+      run_imbalanced("work_stealing", 1024, 2048, 0.02, dmcs::PollingMode::kPreemptive);
+  EXPECT_EQ(r.executed, 2048);
+  EXPECT_EQ(r.hit_sum, 2048);
+  EXPECT_TRUE(r.termination_detected);
+  EXPECT_EQ(r.makespan, 10.772324851993297);
+  EXPECT_EQ(r.migrations, 6443u);
+  EXPECT_EQ(r.termination_waves, 25u);
+  EXPECT_EQ(r.events, 1211292u);
 }
 
 class PolicySweep : public ::testing::TestWithParam<const char*> {};

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -71,6 +74,116 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.schedule(2.0, [] {});
   q.cancel(a);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+}
+
+TEST(EventQueue, CancelOfFiredIdSparesTheEventThatReusedItsSlot) {
+  EventQueue q;
+  int fired = 0;
+  const EventId a = q.schedule(1.0, [&] { ++fired; });
+  q.run_next();
+  // The next schedule may take over the storage `a` used; `a` is stale.
+  const EventId b = q.schedule(2.0, [&] { fired += 10; });
+  EXPECT_NE(a, b);
+  q.cancel(a);
+  EXPECT_EQ(q.size(), 1u);
+  q.run_next();
+  EXPECT_EQ(fired, 11);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelledIdStaysStaleAfterReuse) {
+  EventQueue q;
+  int fired = 0;
+  const EventId a = q.schedule(1.0, [&] { ++fired; });
+  q.cancel(a);
+  const EventId b = q.schedule(1.0, [&] { fired += 10; });
+  q.cancel(a);  // must not hit b
+  EXPECT_EQ(q.size(), 1u);
+  q.run_next();
+  EXPECT_EQ(fired, 10);
+  q.cancel(b);  // fired: no-op
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DoubleCancelCountsOnce) {
+  EventQueue q;
+  const EventId a = q.schedule(1.0, [] {});
+  q.schedule(2.0, [] {});
+  q.schedule(3.0, [] {});
+  q.cancel(a);
+  q.cancel(a);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+}
+
+// Seeded differential test against a (time, insertion seq) ordered map:
+// mixed schedule / cancel / run_next with many equal times, and cancels of
+// fired, cancelled and never-issued ids. Firing order, size() and
+// next_time() must match the model after every operation.
+TEST(EventQueue, MatchesOrderedMapModel) {
+  using Key = std::pair<SimTime, std::uint64_t>;
+  EventQueue q;
+  std::map<Key, EventId> model;   // pending events in firing order
+  std::map<EventId, Key> live;    // id -> model key, pending events only
+  std::vector<EventId> issued;    // every id ever returned by schedule
+  std::set<EventId> seen;         // the same, for the uniqueness check
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> expected;
+  std::uint64_t seq = 0;
+  SimTime now = 0.0;
+  util::SplitMix64 rng(0xD1FFULL);
+
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint64_t r = rng.next() % 100;
+    if (r < 45) {
+      // Eight distinct offsets from "now": equal times are the common case.
+      const SimTime t = now + 0.25 * static_cast<double>(rng.next() % 8);
+      const std::uint64_t tag = seq++;
+      const EventId id = q.schedule(t, [&fired, tag] { fired.push_back(tag); });
+      ASSERT_NE(id, kNoEvent);
+      ASSERT_TRUE(seen.insert(id).second) << "id handed out twice";
+      model.emplace(Key{t, tag}, id);
+      live.emplace(id, Key{t, tag});
+      issued.push_back(id);
+    } else if (r < 75) {
+      EventId id = kNoEvent;
+      const std::uint64_t pick = rng.next() % 10;
+      if (pick == 0) {
+        id = kNoEvent;
+      } else if (pick == 1) {
+        id = (std::uint64_t{1} << 62) + rng.next() % 64;  // never issued
+      } else if (!issued.empty()) {
+        id = issued[rng.next() % issued.size()];  // live, fired or cancelled
+      }
+      q.cancel(id);
+      if (auto it = live.find(id); it != live.end()) {
+        model.erase(it->second);
+        live.erase(it);
+      }
+    } else if (!model.empty()) {
+      ASSERT_DOUBLE_EQ(q.next_time(), model.begin()->first.first);
+      const auto head = model.begin();
+      expected.push_back(head->first.second);
+      now = head->first.first;
+      live.erase(head->second);
+      model.erase(head);
+      EXPECT_DOUBLE_EQ(q.run_next(), now);
+    }
+    ASSERT_EQ(q.size(), model.size()) << "after op " << op;
+    ASSERT_EQ(q.empty(), model.empty());
+    ASSERT_EQ(fired, expected) << "after op " << op;
+    if (!model.empty()) {
+      ASSERT_DOUBLE_EQ(q.next_time(), model.begin()->first.first);
+    }
+  }
+  while (!model.empty()) {
+    expected.push_back(model.begin()->first.second);
+    model.erase(model.begin());
+    q.run_next();
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(expected.size(), 3000u);
 }
 
 TEST(NetworkModel, CostsScaleWithSize) {
