@@ -8,28 +8,19 @@
 // Flags: --policy=<name|all>   one registry policy, or the whole suite
 //        --backend=sim|thread|both
 //        --smoke               CI-sized workload (same structure)
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_support/synthetic.hpp"
+#include "ilb/policy.hpp"
 #include "support/assert.hpp"
 
 using namespace prema::bench;
 
 namespace {
-
-const char* kAllPolicies[] = {"null",   "work_stealing", "diffusion",
-                              "gradient", "master",      "multilist",
-                              "sfc",    "cluster"};
-
-bool known_policy(const std::string& name) {
-  for (const char* p : kAllPolicies) {
-    if (name == p) return true;
-  }
-  return false;
-}
 
 SyntheticConfig make_config(const std::string& backend, bool smoke) {
   SyntheticConfig cfg;
@@ -89,7 +80,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (policy != "all" && !known_policy(policy)) {
+  const std::vector<std::string> all_policies = prema::ilb::policy_names();
+  if (policy != "all" && std::find(all_policies.begin(), all_policies.end(),
+                                   policy) == all_policies.end()) {
     std::cerr << "unknown policy: " << policy << "\n";
     return 2;
   }
@@ -108,7 +101,7 @@ int main(int argc, char** argv) {
 
   for (const auto& be : backends) {
     if (policy == "all") {
-      for (const char* p : kAllPolicies) run_one(be, p, smoke);
+      for (const std::string& p : all_policies) run_one(be, p, smoke);
     } else {
       run_one(be, policy, smoke);
     }

@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ilb/scheduler.hpp"
 #include "mol/comm_graph.hpp"
@@ -175,8 +176,10 @@ class Policy {
 /// Instantiate a policy from its registry name:
 ///   "null" | "work_stealing" | "diffusion" | "gradient" | "master" |
 ///   "multilist" | "sfc" | "cluster"
-/// Aborts on unknown names. `params` is an optional policy-specific knob
-/// string (currently unused; policies take their defaults).
+/// Aborts on unknown names; flag parsers check policy_names() first.
 std::unique_ptr<Policy> make_policy(const std::string& name);
+
+/// Every name make_policy accepts, in registry order.
+[[nodiscard]] std::vector<std::string> policy_names();
 
 }  // namespace prema::ilb

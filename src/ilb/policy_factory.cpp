@@ -12,15 +12,42 @@
 
 namespace prema::ilb {
 
+namespace {
+
+template <class P>
+std::unique_ptr<Policy> construct() {
+  return std::make_unique<P>();
+}
+
+struct Registered {
+  const char* name;
+  std::unique_ptr<Policy> (*make)();
+};
+
+/// The policy registry: name -> constructor, in documentation order.
+constexpr Registered kPolicies[] = {
+    {"null", construct<NullPolicy>},
+    {"work_stealing", construct<WorkStealingPolicy>},
+    {"diffusion", construct<DiffusionPolicy>},
+    {"gradient", construct<GradientPolicy>},
+    {"master", construct<MasterPolicy>},
+    {"multilist", construct<MultiListPolicy>},
+    {"sfc", construct<SfcPolicy>},
+    {"cluster", construct<ClusterPolicy>},
+};
+
+}  // namespace
+
+std::vector<std::string> policy_names() {
+  std::vector<std::string> names;
+  for (const Registered& p : kPolicies) names.emplace_back(p.name);
+  return names;
+}
+
 std::unique_ptr<Policy> make_policy(const std::string& name) {
-  if (name == "null") return std::make_unique<NullPolicy>();
-  if (name == "work_stealing") return std::make_unique<WorkStealingPolicy>();
-  if (name == "diffusion") return std::make_unique<DiffusionPolicy>();
-  if (name == "gradient") return std::make_unique<GradientPolicy>();
-  if (name == "master") return std::make_unique<MasterPolicy>();
-  if (name == "multilist") return std::make_unique<MultiListPolicy>();
-  if (name == "sfc") return std::make_unique<SfcPolicy>();
-  if (name == "cluster") return std::make_unique<ClusterPolicy>();
+  for (const Registered& p : kPolicies) {
+    if (name == p.name) return p.make();
+  }
   PREMA_CHECK_MSG(false, "unknown balancing policy name");
   return nullptr;
 }

@@ -156,15 +156,6 @@ TEST(AnalyzeReport, FingerprintIsLineFree) {
   EXPECT_EQ(fingerprint(a), fingerprint(b));  // survives code motion
 }
 
-TEST(AnalyzeReport, BaselineRoundTrip) {
-  const Findings all = {{"r1", "f1", 1, "m1"}, {"r2", "f2", 2, "m2"}};
-  const auto base = parse_baseline(render_baseline(all));
-  EXPECT_TRUE(subtract_baseline(all, base).empty());
-  // A finding not in the baseline survives subtraction.
-  const Findings fresh = {{"r3", "f3", 3, "m3"}};
-  EXPECT_EQ(subtract_baseline(fresh, base).size(), 1u);
-}
-
 TEST(AnalyzeReport, SarifMentionsRuleAndFingerprint) {
   const std::string sarif =
       render_sarif({{"demo-rule", "a/b.cpp", 7, "it \"broke\""}});

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -694,16 +695,18 @@ TEST(Cluster, StaysPutWhenInternalTrafficDominatesOrPeerIsBusy) {
 }
 
 TEST(PolicyFactory, MakesEveryRegisteredPolicy) {
-  for (const char* name :
-       {"null", "work_stealing", "diffusion", "gradient", "master",
-        "multilist", "sfc", "cluster"}) {
+  EXPECT_EQ(policy_names(),
+            (std::vector<std::string>{"null", "work_stealing", "diffusion",
+                                      "gradient", "master", "multilist", "sfc",
+                                      "cluster"}));
+  for (const std::string& name : policy_names()) {
     auto p = make_policy(name);
     ASSERT_NE(p, nullptr);
-    if (std::string(name) != "null") {
+    if (name != "null") {
       EXPECT_EQ(p->name(), name);
     }
     // The topology split: exactly sfc and cluster consume the widened view.
-    const bool topo = std::string(name) == "sfc" || std::string(name) == "cluster";
+    const bool topo = name == "sfc" || name == "cluster";
     EXPECT_EQ(p->wants_topology(), topo) << name;
   }
 }

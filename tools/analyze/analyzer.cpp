@@ -1,3 +1,4 @@
+#include <chrono>
 #include <optional>
 
 #include "analyze/passes.hpp"
@@ -6,36 +7,47 @@ namespace prema::analyze {
 
 const std::vector<PassInfo>& all_passes() {
   static const std::vector<PassInfo> passes = {
-      {"conventions", pass_conventions, /*per_file=*/true, /*needs_index=*/false},
-      {"lock-order", pass_lock_order, false, false},
-      {"protocol", pass_protocol, false, false},
-      {"serialization", pass_serialization, false, false},
-      {"time-domain", pass_time_domain, /*per_file=*/true, false},
-      {"lock-flow", pass_lock_flow, false, /*needs_index=*/true},
-      {"protocol-fsm", pass_protocol_fsm, false, true},
-      {"sim-purity", pass_sim_purity, false, true},
-      {"atomic-discipline", pass_atomic_discipline, false, true},
-      {"release-acquire", pass_release_acquire, false, true},
-      {"mixed-access", pass_mixed_access, false, true},
+      {"conventions", pass_conventions, /*needs_index=*/false},
+      {"lock-order", pass_lock_order, false},
+      {"protocol", pass_protocol, false},
+      {"serialization", pass_serialization, false},
+      {"time-domain", pass_time_domain, false},
+      {"lock-flow", pass_lock_flow, /*needs_index=*/true},
+      {"protocol-fsm", pass_protocol_fsm, true},
+      {"sim-purity", pass_sim_purity, true},
+      {"atomic-discipline", pass_atomic_discipline, true},
+      {"release-acquire", pass_release_acquire, true},
+      {"mixed-access", pass_mixed_access, true},
   };
   return passes;
 }
 
-void run_all_passes(const Tree& tree, const Options& opts, Findings& out) {
-  // Build the whole-program index once and share it: three of the index
-  // passes would otherwise each build their own.
+void run_all_passes(const Tree& tree, const Options& opts, Findings& out,
+                    const std::set<std::string>& only, PassTimings* timings) {
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  };
+  std::vector<const PassInfo*> selected;
+  for (const PassInfo& p : all_passes()) {
+    if (only.empty() || only.count(p.name) != 0) selected.push_back(&p);
+  }
+  // Build the whole-program index once and share it: the index passes would
+  // otherwise each build their own.
   Options shared = opts;
   std::optional<Index> idx;
-  if (shared.index == nullptr) {
-    for (const PassInfo& p : all_passes()) {
-      if (p.needs_index) {
-        idx.emplace(build_index(tree));
-        shared.index = &*idx;
-        break;
-      }
+  for (const PassInfo* p : selected) {
+    if (p->needs_index && shared.index == nullptr) {
+      const auto t0 = Clock::now();
+      shared.index = &idx.emplace(build_index(tree));
+      if (timings != nullptr) timings->index_ms = ms_since(t0);
     }
   }
-  for (const PassInfo& p : all_passes()) p.fn(tree, shared, out);
+  for (const PassInfo* p : selected) {
+    const auto t0 = Clock::now();
+    p->fn(tree, shared, out);
+    if (timings != nullptr) timings->pass_ms.emplace_back(p->name, ms_since(t0));
+  }
 }
 
 }  // namespace prema::analyze

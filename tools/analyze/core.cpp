@@ -1359,30 +1359,14 @@ const FieldDecl* Index::find_field(const std::string& cls_hint, int file,
   return nullptr;
 }
 
-Index build_index(const Tree& tree, const Executor* exec) {
-  // Phases over independent files (or functions) run through `exec` when one
-  // is supplied; each task writes its own slot and slots merge in file/func
-  // order, so the index is byte-identical to the serial build at any width.
-  const auto shard = [exec](std::size_t n,
-                            const std::function<void(std::size_t)>& task) {
-    if (exec != nullptr && n > 1) {
-      exec->run(n, task);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) task(i);
-    }
-  };
+Index build_index(const Tree& tree) {
   Index idx;
   idx.tree = &tree;
   const std::size_t nfiles = tree.files.size();
   std::vector<std::string> pps(nfiles);
-  std::vector<std::vector<ClassRegion>> regions(nfiles);
-  shard(nfiles, [&](std::size_t fi) {
+  for (std::size_t fi = 0; fi < nfiles; ++fi) {
     pps[fi] = blank_preprocessor(tree.files[fi].code);
-    collect_class_regions(tree, static_cast<int>(fi), pps[fi], regions[fi]);
-  });
-  for (const std::vector<ClassRegion>& file_regions : regions) {
-    idx.classes.insert(idx.classes.end(), file_regions.begin(),
-                       file_regions.end());
+    collect_class_regions(tree, static_cast<int>(fi), pps[fi], idx.classes);
   }
   for (const ClassRegion& region : idx.classes) {
     idx.class_names.insert(region.name);
@@ -1391,17 +1375,10 @@ Index build_index(const Tree& tree, const Executor* exec) {
   // and let exact (cls, name) duplicates from the enclosing region stand —
   // find_field prefers the first hit with a class hint, and nested regions
   // have distinct names in practice.
-  std::vector<std::vector<FieldDecl>> fields(idx.classes.size());
-  shard(idx.classes.size(), [&](std::size_t ri) {
-    const ClassRegion& region = idx.classes[ri];
+  for (const ClassRegion& region : idx.classes) {
     collect_fields(tree.files[static_cast<std::size_t>(region.file)],
                    pps[static_cast<std::size_t>(region.file)], region,
-                   fields[ri]);
-  });
-  for (std::vector<FieldDecl>& region_fields : fields) {
-    for (FieldDecl& field : region_fields) {
-      idx.fields.push_back(std::move(field));
-    }
+                   idx.fields);
   }
   // Drop fields whose offsets fall inside a *smaller* nested region of a
   // different class: the nested scan already records them under the right
@@ -1429,14 +1406,8 @@ Index build_index(const Tree& tree, const Executor* exec) {
     idx.fields = std::move(keep);
   }
   collect_capabilities(tree, idx);
-  std::vector<std::vector<FunctionDef>> funcs(nfiles);
-  shard(nfiles, [&](std::size_t fi) {
-    collect_functions(tree, static_cast<int>(fi), pps[fi], funcs[fi]);
-  });
-  for (std::vector<FunctionDef>& file_funcs : funcs) {
-    for (FunctionDef& fn : file_funcs) {
-      idx.funcs.push_back(std::move(fn));
-    }
+  for (std::size_t fi = 0; fi < nfiles; ++fi) {
+    collect_functions(tree, static_cast<int>(fi), pps[fi], idx.funcs);
   }
   for (std::size_t i = 0; i < idx.funcs.size(); ++i) {
     FunctionDef& fn = idx.funcs[i];
@@ -1491,21 +1462,13 @@ Index build_index(const Tree& tree, const Executor* exec) {
       }
     }
   }
-  // Each task mutates one FunctionDef and reads the (now frozen) shared maps.
-  shard(idx.funcs.size(), [&](std::size_t i) {
-    collect_acquisitions(idx, idx.funcs[i],
-                         tree.files[static_cast<std::size_t>(idx.funcs[i].file)]);
-  });
-  std::vector<std::vector<CallSite>> calls(idx.funcs.size());
-  shard(idx.funcs.size(), [&](std::size_t i) {
-    collect_calls(idx, static_cast<int>(i),
-                  tree.files[static_cast<std::size_t>(idx.funcs[i].file)],
-                  pps[static_cast<std::size_t>(idx.funcs[i].file)], calls[i]);
-  });
-  for (std::vector<CallSite>& fn_calls : calls) {
-    for (CallSite& call : fn_calls) {
-      idx.calls.push_back(std::move(call));
-    }
+  for (FunctionDef& fn : idx.funcs) {
+    collect_acquisitions(idx, fn, tree.files[static_cast<std::size_t>(fn.file)]);
+  }
+  for (std::size_t i = 0; i < idx.funcs.size(); ++i) {
+    const auto file = static_cast<std::size_t>(idx.funcs[i].file);
+    collect_calls(idx, static_cast<int>(i), tree.files[file], pps[file],
+                  idx.calls);
   }
   return idx;
 }

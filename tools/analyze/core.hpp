@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -34,7 +33,7 @@ struct Tree {
 };
 
 /// One analyzer finding. `message` must be deterministic and line-free so the
-/// baseline fingerprint survives unrelated edits to the same file.
+/// fingerprint survives unrelated edits to the same file.
 struct Finding {
   std::string rule;
   std::string file;
@@ -42,7 +41,7 @@ struct Finding {
   std::string message;
 };
 
-/// Stable identity of a finding for baseline suppression: rule|file|message
+/// Stable identity of a finding (SARIF partialFingerprints): rule|file|message
 /// (no line number, so findings don't churn when code moves within a file).
 std::string fingerprint(const Finding& f);
 
@@ -59,9 +58,9 @@ struct Options {
   /// Protocol state-machine specs (tools/analyze/protocols/*.txt), as
   /// (spec-name, contents) pairs in deterministic order.
   std::vector<std::pair<std::string, std::string>> protocol_specs;
-  /// Prebuilt whole-program index shared across passes (set by the engine and
-  /// by run_all_passes). Passes that need the index build their own when
-  /// null, so fixtures can still call a single pass directly.
+  /// Prebuilt whole-program index shared across passes (set by
+  /// run_all_passes). Passes that need the index build their own when null,
+  /// so fixtures can still call a single pass directly.
   const Index* index = nullptr;
 };
 
@@ -274,11 +273,11 @@ SourceFile make_file(std::string rel, std::string raw);
 // Whole-program symbol index / call graph
 // ---------------------------------------------------------------------------
 //
-// Built once per interprocedural pass from the code views alone. Function
-// discovery is heuristic (identifier + balanced parens + a conservative
-// trailing-token walk to the body '{'), which is exact enough for this
-// repo's idiom: out-of-line `Class::method` definitions, inline methods
-// inside class bodies, and free functions. Lambdas are intentionally *not*
+// Built once per run from the code views alone. Function discovery is
+// heuristic (identifier + balanced parens + a conservative trailing-token
+// walk to the body '{'), which is exact enough for this repo's idiom:
+// out-of-line `Class::method` definitions, inline methods inside class
+// bodies, and free functions. Lambdas are intentionally *not*
 // separate functions — their bodies belong to the enclosing definition, so
 // facts established inside a registration lambda (e.g. an
 // assert-capability call) stay attached to the function that created it.
@@ -358,23 +357,8 @@ struct Index {
                               const std::string& name) const;
 };
 
-/// Minimal parallel-for interface, implemented by the engine's thread pool,
-/// so build_index can shard its per-file and per-function phases without the
-/// core depending on threads. Implementations must invoke fn(i) exactly once
-/// for every i in [0, n) and return only when all invocations finished.
-class Executor {
- public:
-  virtual ~Executor() = default;
-  virtual void run(std::size_t n,
-                   const std::function<void(std::size_t)>& fn) const = 0;
-};
-
-/// Build the whole-program index for `tree`. With an executor, the per-file
-/// collection phases (preprocessor blanking, class regions, fields, function
-/// discovery) and the per-function phases (acquisitions, call sites) run
-/// sharded; results are merged in file/function order, so the index is
-/// byte-identical to the serial build.
-Index build_index(const Tree& tree, const Executor* exec = nullptr);
+/// Build the whole-program index for `tree`.
+Index build_index(const Tree& tree);
 
 /// May-hold lock sets at function entry, propagated to a fixed point over
 /// resolved call edges: entry(callee) ⊇ holds-at-call-site(caller). Seeded

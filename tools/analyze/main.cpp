@@ -1,30 +1,25 @@
 // prema_analyze — multi-pass semantic static analyzer for the PREMA runtime.
 //
-//   prema_analyze <src-root> [--hierarchy F] [--design F] [--baseline F]
-//                            [--protocols DIR] [--atomics F] [--sarif OUT]
-//                            [--write-baseline F] [--pass NAME]...
-//                            [--jobs N] [--cache DIR] [--timings]
+//   prema_analyze <src-root> [--hierarchy F] [--design F] [--protocols DIR]
+//                            [--atomics F] [--sarif OUT] [--pass NAME]...
+//                            [--timings]
 //   prema_analyze --list-passes
 //   prema_analyze --self-test
 //
-// Scans the tree rooted at <src-root> with every pass (see passes.hpp),
-// subtracts the baseline and reports what is left. `--pass NAME` (repeatable)
-// restricts the run to the named passes so CI and local runs can bisect a
-// regression. `--jobs N` analyzes on N threads (0 = hardware concurrency) —
-// output is byte-identical at any width; `--cache DIR` keeps an incremental
-// result cache keyed by (pass, manifest hashes, file content hash);
-// `--timings` prints per-pass task time plus engine totals to stderr. Exit 0
-// when no new findings, 1 when there are, 2 on usage/IO errors.
+// Scans the tree rooted at <src-root> with every pass (see passes.hpp), one
+// after another on one thread, and reports every finding. `--pass NAME`
+// (repeatable) restricts the run to the named passes so CI and local runs can
+// bisect a regression. `--timings` prints per-pass host time to stderr. Exit
+// 0 when there are no findings, 1 when there are, 2 on usage/IO errors.
 //
 // Defaults, resolved relative to <src-root>'s parent (the repo root when
 // scanning src/): tools/analyze/lock_hierarchy.txt, DESIGN.md,
-// tools/analyze/baseline.txt, tools/analyze/atomics.txt and
-// tools/analyze/protocols/. A missing *default* file just disables the
-// dependent checks; an explicitly given path must exist.
+// tools/analyze/atomics.txt and tools/analyze/protocols/. A missing *default*
+// file just disables the dependent checks; an explicitly given path must
+// exist.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -33,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/engine.hpp"
 #include "analyze/report.hpp"
 
 namespace {
@@ -52,11 +46,9 @@ std::optional<std::string> read_file(const fs::path& path) {
 int usage() {
   std::fprintf(stderr,
                "usage: prema_analyze <src-root> [--hierarchy F] [--design F]\n"
-               "                     [--baseline F] [--protocols DIR] "
-               "[--atomics F]\n"
-               "                     [--sarif OUT] [--write-baseline F] "
-               "[--pass NAME]...\n"
-               "                     [--jobs N] [--cache DIR] [--timings]\n"
+               "                     [--protocols DIR] [--atomics F] "
+               "[--sarif OUT]\n"
+               "                     [--pass NAME]... [--timings]\n"
                "       prema_analyze --list-passes\n"
                "       prema_analyze --self-test\n");
   return 2;
@@ -99,17 +91,17 @@ int main(int argc, char** argv) {
   }
   if (argc < 2 || argv[1][0] == '-') return usage();
 
-  const fs::path root = argv[1];
+  // "src/" and "src" name the same tree: drop trailing separators so the
+  // defaults below resolve against the same parent either way.
+  std::string root_arg = argv[1];
+  while (root_arg.size() > 1 && root_arg.back() == '/') root_arg.pop_back();
+  const fs::path root = root_arg;
   std::string hierarchy_path;
   std::string design_path;
-  std::string baseline_path;
   std::string protocols_path;
   std::string atomics_path;
   std::string sarif_out;
-  std::string write_baseline_out;
-  std::string cache_dir;
   std::set<std::string> selected;
-  int jobs = 1;
   bool timings = false;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -123,22 +115,12 @@ int main(int argc, char** argv) {
       hierarchy_path = value;
     } else if (flag == "--design") {
       design_path = value;
-    } else if (flag == "--baseline") {
-      baseline_path = value;
     } else if (flag == "--protocols") {
       protocols_path = value;
     } else if (flag == "--atomics") {
       atomics_path = value;
-    } else if (flag == "--jobs") {
-      char* end = nullptr;
-      jobs = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (end == nullptr || *end != '\0' || jobs < 0) return usage();
-    } else if (flag == "--cache") {
-      cache_dir = value;
     } else if (flag == "--sarif") {
       sarif_out = value;
-    } else if (flag == "--write-baseline") {
-      write_baseline_out = value;
     } else if (flag == "--pass") {
       selected.insert(value);
     } else {
@@ -182,14 +164,11 @@ int main(int argc, char** argv) {
   };
 
   Options opts;
-  std::string baseline_text;
   if (!resolve(hierarchy_path, repo / "tools" / "analyze" / "lock_hierarchy.txt",
                opts.hierarchy_text) ||
       !resolve(design_path, repo / "DESIGN.md", opts.design_text) ||
       !resolve(atomics_path, repo / "tools" / "analyze" / "atomics.txt",
-               opts.atomics_text) ||
-      !resolve(baseline_path, repo / "tools" / "analyze" / "baseline.txt",
-               baseline_text)) {
+               opts.atomics_text)) {
     return 2;
   }
   if (!load_protocol_specs(protocols_path.empty()
@@ -199,69 +178,38 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  EngineOptions eng;
-  eng.jobs = jobs;
-  eng.cache_dir = cache_dir;
-  for (const PassInfo& p : all_passes()) {
-    if (selected.empty() || selected.count(p.name) != 0) {
-      eng.passes.push_back(p.name);
-    }
-  }
   Findings all;
-  EngineStats stats;
-  run_engine(tree, opts, eng, all, &stats);
-  const std::size_t passes_run = eng.passes.size();
+  PassTimings times;
+  run_all_passes(tree, opts, all, selected, &times);
   if (timings) {
-    for (const PassStat& ps : stats.passes) {
-      std::fprintf(stderr,
-                   "prema_analyze: pass %-17s %8.1f ms  (%zu cached, "
-                   "%zu computed)\n",
-                   ps.name.c_str(), ps.ms, ps.cache_hits, ps.cache_misses);
+    double total_ms = times.index_ms;
+    for (const auto& [name, ms] : times.pass_ms) {
+      std::fprintf(stderr, "prema_analyze: pass %-17s %8.1f ms\n", name, ms);
+      total_ms += ms;
     }
-    std::fprintf(stderr,
-                 "prema_analyze: index %.1f ms, tasks %.1f ms, wall %.1f ms, "
-                 "jobs %d, cache %zu/%zu hit(s)\n",
-                 stats.index_ms, stats.task_ms, stats.wall_ms, stats.jobs,
-                 stats.cache_hits, stats.cache_hits + stats.cache_misses);
+    std::fprintf(stderr, "prema_analyze: index %.1f ms, total %.1f ms\n",
+                 times.index_ms, total_ms);
   }
-
-  if (!write_baseline_out.empty()) {
-    std::ofstream out(write_baseline_out, std::ios::binary);
-    out << render_baseline(all);
-    if (!out) {
-      std::fprintf(stderr, "prema_analyze: cannot write %s\n",
-                   write_baseline_out.c_str());
-      return 2;
-    }
-    std::printf("prema_analyze: wrote baseline with %zu finding(s) to %s\n",
-                all.size(), write_baseline_out.c_str());
-    return 0;
-  }
-
-  const Findings fresh = subtract_baseline(all, parse_baseline(baseline_text));
 
   if (!sarif_out.empty()) {
     std::ofstream out(sarif_out, std::ios::binary);
-    out << render_sarif(fresh);
+    out << render_sarif(all);
     if (!out) {
       std::fprintf(stderr, "prema_analyze: cannot write %s\n", sarif_out.c_str());
       return 2;
     }
   }
 
-  for (const Finding& f : fresh) {
+  for (const Finding& f : all) {
     std::fprintf(stderr, "%s:%d: [%s] %s\n", f.file.c_str(), f.line,
                  f.rule.c_str(), f.message.c_str());
   }
-  if (!fresh.empty()) {
-    std::fprintf(stderr,
-                 "prema_analyze: %zu new finding(s) (%zu suppressed by baseline) "
-                 "in %zu file(s) scanned\n",
-                 fresh.size(), all.size() - fresh.size(), tree.files.size());
+  if (!all.empty()) {
+    std::fprintf(stderr, "prema_analyze: %zu finding(s) in %zu file(s) scanned\n",
+                 all.size(), tree.files.size());
     return 1;
   }
-  std::printf("prema_analyze: OK (%zu files scanned, %zu passes, "
-              "%zu baseline-suppressed)\n",
-              tree.files.size(), passes_run, all.size());
+  std::printf("prema_analyze: OK (%zu files scanned, %zu passes)\n",
+              tree.files.size(), times.pass_ms.size());
   return 0;
 }

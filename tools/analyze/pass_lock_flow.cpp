@@ -23,8 +23,8 @@
 //
 // The analysis is a may-analysis over a heuristic index: unresolved or
 // ambiguous calls propagate nothing, unknown roots are skipped. That keeps
-// it quiet enough for an empty baseline while still proving the properties
-// the lock-free-refactor roadmap item needs diffable.
+// src/ at zero findings while still proving the properties the
+// lock-free-refactor roadmap item needs diffable.
 
 #include <algorithm>
 #include <map>

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/core.hpp"
@@ -71,19 +74,27 @@ using PassFn = void (*)(const Tree&, const Options&, Findings&);
 struct PassInfo {
   const char* name;
   PassFn fn;
-  /// Findings depend on one file at a time: the engine shards the pass into
-  /// per-file tasks and caches results per (pass, file hash).
-  bool per_file = false;
-  /// Uses the whole-program index: the engine builds it once and shares it
-  /// through Options::index.
+  /// Uses the whole-program index: run_all_passes builds it once and shares
+  /// it through Options::index.
   bool needs_index = false;
 };
 
 /// All passes, in reporting order.
 const std::vector<PassInfo>& all_passes();
 
-/// Run every pass over `tree`, appending findings in pass order.
-void run_all_passes(const Tree& tree, const Options& opts, Findings& out);
+/// Host time of one run_all_passes call, for `--timings`.
+struct PassTimings {
+  double index_ms = 0;  ///< building the shared whole-program index
+  std::vector<std::pair<const char*, double>> pass_ms;  ///< passes run, in order
+};
+
+/// The analyzer's one driver: run the passes named in `only` (every pass when
+/// empty) over `tree` in registry order, appending their findings to `out`.
+/// The whole-program index is built once, when a selected pass needs it and
+/// `opts.index` is null. `timings`, when given, receives the host time spent.
+void run_all_passes(const Tree& tree, const Options& opts, Findings& out,
+                    const std::set<std::string>& only = {},
+                    PassTimings* timings = nullptr);
 
 // -- conventions scanner ----------------------------------------------------
 

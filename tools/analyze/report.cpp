@@ -31,46 +31,6 @@ std::string json_escape(std::string_view s) {
 
 }  // namespace
 
-std::set<std::string> parse_baseline(std::string_view text) {
-  std::set<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = std::min(text.find('\n', pos), text.size());
-    std::string line(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    out.insert(line);
-  }
-  return out;
-}
-
-Findings subtract_baseline(const Findings& all, const std::set<std::string>& baseline) {
-  Findings fresh;
-  for (const Finding& f : all) {
-    if (baseline.find(fingerprint(f)) == baseline.end()) fresh.push_back(f);
-  }
-  return fresh;
-}
-
-std::string render_baseline(const Findings& all) {
-  std::vector<std::string> prints;
-  prints.reserve(all.size());
-  for (const Finding& f : all) prints.push_back(fingerprint(f));
-  std::sort(prints.begin(), prints.end());
-  prints.erase(std::unique(prints.begin(), prints.end()), prints.end());
-  std::string out =
-      "# prema_analyze baseline: known findings suppressed in CI.\n"
-      "# One fingerprint (rule|file|message) per line. Regenerate with\n"
-      "#   prema_analyze <src-root> --write-baseline <this file>\n"
-      "# The goal is to keep this file EMPTY: entries are temporary debt.\n";
-  for (const std::string& p : prints) {
-    out += p;
-    out += '\n';
-  }
-  return out;
-}
-
 std::string render_sarif(const Findings& findings) {
   // Rule ids, first-seen order.
   std::vector<std::string> rules;

@@ -1,26 +1,13 @@
 #pragma once
 
-#include <set>
 #include <string>
 
 #include "analyze/passes.hpp"
 
 /// \file report.hpp
-/// Finding output: baseline suppression (CI fails only on NEW violations)
-/// and SARIF 2.1.0 export for code-scanning UIs / CI artifacts.
+/// Finding output: SARIF 2.1.0 export for code-scanning UIs / CI artifacts.
 
 namespace prema::analyze {
-
-/// Parse a baseline file's text: one fingerprint per line, '#' comments and
-/// blank lines ignored.
-std::set<std::string> parse_baseline(std::string_view text);
-
-/// Findings whose fingerprint is not in `baseline`, in input order.
-Findings subtract_baseline(const Findings& all, const std::set<std::string>& baseline);
-
-/// Baseline file content for `all` (sorted, one fingerprint per line) with a
-/// header comment describing the workflow.
-std::string render_baseline(const Findings& all);
 
 /// SARIF 2.1.0 document for `findings`.
 std::string render_sarif(const Findings& findings);

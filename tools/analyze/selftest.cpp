@@ -6,13 +6,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "analyze/engine.hpp"
 #include "analyze/report.hpp"
 
 namespace prema::analyze {
@@ -855,10 +852,11 @@ int atomics_manifest_checks(std::size_t& cases_out) {
   return failures;
 }
 
-/// The shared synthetic workload: `nfiles` generated classes, `nfuncs`
-/// locked methods and as many guarded fields each, with an intra-class call
-/// chain so the interprocedural passes have real work per file.
-Tree synthetic_tree(int nfiles, int nfuncs = 8) {
+/// The perf-budget workload: `nfiles` generated classes, `nfuncs` locked
+/// methods and as many guarded fields each, with an intra-class call chain so
+/// the interprocedural passes have real work per file.
+Tree synthetic_tree(int nfiles) {
+  constexpr int nfuncs = 8;
   Tree tree;
   for (int i = 0; i < nfiles; ++i) {
     std::string code;
@@ -913,13 +911,13 @@ int perf_budget_check(std::size_t& cases_out) {
   return 0;
 }
 
-/// Engine checks: parallel runs are byte-identical to serial ones, the
-/// on-disk cache answers unchanged work and re-runs touched work, and the
-/// thread pool actually buys wall time on the per-file shards.
-int engine_checks(std::size_t& cases_out) {
+/// The one driver: run_all_passes reports in (pass registry, file) order and
+/// its --pass filter returns exactly the selected passes' findings.
+int driver_checks(std::size_t& cases_out) {
+  ++cases_out;
   int failures = 0;
   auto fail = [&](const char* what) {
-    std::fprintf(stderr, "self-test FAIL: engine: %s\n", what);
+    std::fprintf(stderr, "self-test FAIL: driver: %s\n", what);
     ++failures;
   };
   const auto same = [](const Findings& a, const Findings& b) {
@@ -933,129 +931,54 @@ int engine_checks(std::size_t& cases_out) {
     return true;
   };
 
-  // A tree that fires both per-file findings (conventions: determinism) and
-  // whole-tree findings (sim-purity: wallclock) across many files, so slot
-  // ordering and the cache have something real to preserve.
-  const auto seeded_file = [](int i, const char* suffix) {
-    return "void f" + std::to_string(i) + "() {\n" +
-           "  auto t = std::chrono::steady_clock::now();\n" + "}\n" + suffix;
-  };
+  // Every file fires one conventions finding (determinism) and one whole-tree
+  // sim-purity finding (wallclock), so both ordering keys have work to do.
   Tree tree;
   for (int i = 0; i < 12; ++i) {
-    tree.files.push_back(
-        make_file("ilb/f" + std::to_string(i) + ".cpp", seeded_file(i, "")));
+    tree.files.push_back(make_file(
+        "ilb/f" + std::to_string(i) + ".cpp",
+        "void f" + std::to_string(i) + "() {\n" +
+            "  auto t = std::chrono::steady_clock::now();\n}\n"));
   }
   const Options opts;
-
-  ++cases_out;
-  {
-    Findings serial, parallel;
-    EngineOptions e1;
-    e1.jobs = 1;
-    EngineOptions e4;
-    e4.jobs = 4;
-    run_engine(tree, opts, e1, serial);
-    run_engine(tree, opts, e4, parallel);
-    if (serial.empty()) fail("seeded tree produced no findings");
-    if (!same(serial, parallel)) {
-      fail("--jobs 4 output diverges from --jobs 1");
+  Findings conventions, sim_purity;
+  pass_conventions(tree, opts, conventions);
+  pass_sim_purity(tree, opts, sim_purity);
+  const auto one_per_file_in_order = [&tree](const Findings& group) {
+    if (group.size() != tree.files.size()) return false;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      if (group[i].file != tree.files[i].rel) return false;
     }
+    return true;
+  };
+  if (!one_per_file_in_order(conventions)) {
+    fail("conventions findings not one per file in file order");
+  }
+  if (!one_per_file_in_order(sim_purity)) {
+    fail("sim-purity findings not one per file in file order");
   }
 
-  ++cases_out;
-  {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    const fs::path dir =
-        fs::temp_directory_path(ec) / "prema_analyze_selftest_cache";
-    fs::remove_all(dir, ec);
-    EngineOptions eng;
-    eng.jobs = 1;
-    eng.cache_dir = dir.string();
-    Findings cold, warm, touched;
-    EngineStats s_cold, s_warm, s_touch;
-    run_engine(tree, opts, eng, cold, &s_cold);
-    run_engine(tree, opts, eng, warm, &s_warm);
-    if (s_cold.cache_hits != 0 || s_cold.cache_misses == 0) {
-      fail("cold run should miss on every task");
-    }
-    if (s_warm.cache_misses != 0 || s_warm.cache_hits != s_cold.cache_misses) {
-      fail("warm run should answer every task from the cache");
-    }
-    if (!same(cold, warm)) fail("cached findings diverge from computed ones");
-
-    // Touch one file: per-file work for the other files must still hit,
-    // per-file work for the touched file and the tree-keyed passes must not.
-    Tree tree2 = tree;
-    tree2.files[0] = make_file("ilb/f0.cpp", seeded_file(0, "// touched\n"));
-    run_engine(tree2, opts, eng, touched, &s_touch);
-    if (s_touch.cache_hits == 0 || s_touch.cache_misses == 0) {
-      fail("touching one file should re-run some tasks and reuse the rest");
-    }
-    if (!same(cold, touched)) {
-      fail("an appended comment changed the findings");
-    }
-    fs::remove_all(dir, ec);
+  Findings all;
+  run_all_passes(tree, opts, all);
+  Findings expect = conventions;
+  expect.insert(expect.end(), sim_purity.begin(), sim_purity.end());
+  if (!same(all, expect)) {
+    fail("all passes: conventions then sim-purity findings expected");
   }
 
-  // Scaling: the per-file shards (conventions + time-domain over the
-  // 200-class synthetic tree) must run at least 2x faster on the pool than
-  // single-threaded. Asserted on the engine's own wall_ms, warm-up plus
-  // best-of-3, and skipped below four cores where the headroom isn't there.
-  ++cases_out;
-  {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const Tree big = synthetic_tree(200, 128);
-    const auto best_of_3 = [&](int jobs) {
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        EngineOptions eng;
-        eng.jobs = jobs;
-        eng.passes = {"conventions", "time-domain"};
-        Findings out;
-        EngineStats stats;
-        run_engine(big, opts, eng, out, &stats);
-        if (rep == 0 || stats.wall_ms < best) best = stats.wall_ms;
-      }
-      return best;
-    };
-    best_of_3(1);  // warm-up: fault in the tree and the allocator
-    const double serial_ms = best_of_3(1);
-    if (hw < 4) {
-      std::printf(
-          "prema_analyze --self-test: engine speedup SKIP "
-          "(%u core(s), need 4; jobs 1: %.1f ms)\n",
-          hw, serial_ms);
-    } else {
-      const double pool_ms = best_of_3(static_cast<int>(hw));
-      std::printf(
-          "prema_analyze --self-test: engine speedup %.1fx "
-          "(jobs 1: %.1f ms, jobs %u: %.1f ms)\n",
-          pool_ms > 0 ? serial_ms / pool_ms : 0.0, serial_ms, hw, pool_ms);
-      if (pool_ms * 2.0 > serial_ms) {
-        fail("per-file shards under 2x speedup on the thread pool");
-      }
-    }
+  Findings filtered;
+  run_all_passes(tree, opts, filtered, {"sim-purity"});
+  if (!same(filtered, sim_purity)) {
+    fail("--pass sim-purity did not return exactly the sim-purity findings");
   }
   return failures;
 }
 
-/// Report-layer checks: baseline round-trip and SARIF shape.
+/// Report-layer check: SARIF shape.
 int report_checks(std::size_t& cases_out) {
   int failures = 0;
   const Findings sample = {{"demo-rule", "dmcs/x.cpp", 3, "a \"quoted\" message"}};
 
-  ++cases_out;
-  const auto base = parse_baseline(render_baseline(sample));
-  if (!subtract_baseline(sample, base).empty()) {
-    std::fprintf(stderr, "self-test FAIL: baseline round-trip still reports\n");
-    ++failures;
-  }
-  ++cases_out;
-  if (subtract_baseline(sample, parse_baseline("# empty\n")).size() != 1) {
-    std::fprintf(stderr, "self-test FAIL: empty baseline suppressed a finding\n");
-    ++failures;
-  }
   ++cases_out;
   const std::string sarif = render_sarif(sample);
   if (sarif.find("\"ruleId\": \"demo-rule\"") == std::string::npos ||
@@ -1080,7 +1003,7 @@ int run_self_test() {
   failures += spec_parser_checks(cases);
   failures += atomics_manifest_checks(cases);
   failures += perf_budget_check(cases);
-  failures += engine_checks(cases);
+  failures += driver_checks(cases);
   failures += report_checks(cases);
 
   // The migrated prema_lint snippets are part of this binary's contract too.
