@@ -1,14 +1,13 @@
 // Ablation: PREMA's pluggable policy suite (§4: Work Stealing, Diffusion,
 // Multi-list Scheduling, plus Gradient, a centralized Master, and the
-// topology-aware SFC and self-clustering policies) on the synthetic
-// workload. The framework is the paper's contribution; the policy is a
-// plug-in — this shows all of them running unchanged on top of it, on both
-// machine backends, with the object-conservation audit enforced per run.
+// topology-aware SFC policy) on the synthetic workload. The framework is the
+// paper's contribution; the policy is a plug-in — this shows all of them
+// running unchanged on top of it, on both machine backends, with the
+// object-conservation audit enforced per run.
 //
 // Flags: --policy=<name|all>   one registry policy, or the whole suite
 //        --backend=sim|thread|both
 //        --smoke               CI-sized workload (same structure)
-#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -16,6 +15,7 @@
 
 #include "bench_support/synthetic.hpp"
 #include "ilb/policy.hpp"
+#include "policy_flag.hpp"
 #include "support/assert.hpp"
 
 using namespace prema::bench;
@@ -80,12 +80,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const std::vector<std::string> all_policies = prema::ilb::policy_names();
-  if (policy != "all" && std::find(all_policies.begin(), all_policies.end(),
-                                   policy) == all_policies.end()) {
-    std::cerr << "unknown policy: " << policy << "\n";
-    return 2;
-  }
+  if (policy != "all" && !known_policy(policy)) return 2;
   if (backend != "sim" && backend != "thread" && backend != "both") {
     std::cerr << "unknown backend: " << backend << "\n";
     return 2;
@@ -101,7 +96,7 @@ int main(int argc, char** argv) {
 
   for (const auto& be : backends) {
     if (policy == "all") {
-      for (const std::string& p : all_policies) run_one(be, p, smoke);
+      for (const std::string& p : prema::ilb::policy_names()) run_one(be, p, smoke);
     } else {
       run_one(be, policy, smoke);
     }

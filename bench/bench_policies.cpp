@@ -1,7 +1,7 @@
 // Policy-suite benchmark: balancing quality (per-proc computation stddev),
 // LB overhead (% of computation), and migration rate for every registry
-// policy — the five scalar paper policies plus the topology-aware SFC and
-// self-clustering ones — on the Figure-5 workload shape (50% heavy units,
+// policy but "null" — the five scalar paper policies plus the
+// topology-aware SFC one — on the Figure-5 workload shape (50% heavy units,
 // heavy = 1.2x light), on both machine backends. Emits BENCH_policies.json
 // (checked in at the repo root; CI re-generates and uploads it).
 //
@@ -15,6 +15,7 @@
 
 #include "bench_support/bench_json.hpp"
 #include "bench_support/synthetic.hpp"
+#include "ilb/policy.hpp"
 #include "support/assert.hpp"
 
 using namespace prema::bench;
@@ -90,9 +91,8 @@ int main(int argc, char** argv) {
             << (full ? " [full]" : "") << "\n";
   char buf[160];
   for (const char* backend : {"sim", "thread"}) {
-    for (const char* policy :
-         {"work_stealing", "diffusion", "gradient", "master", "multilist",
-          "sfc", "cluster"}) {
+    for (const std::string& policy : prema::ilb::policy_names()) {
+      if (policy == "null") continue;
       SyntheticConfig cfg = fig5_config(backend, full);
       cfg.policy = policy;
       const RunReport r = run_synthetic(System::kPremaImplicit, cfg);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -9,7 +8,7 @@
 
 #include "bench_support/synthetic.hpp"
 #include "fault/fault_plan.hpp"
-#include "ilb/policy.hpp"
+#include "policy_flag.hpp"
 
 /// \file figure_main.hpp
 /// Shared driver for the Figure 3-6 reproduction binaries: runs all six
@@ -28,9 +27,9 @@
 ///        --fault-seed=<n>         seed the fault plan's RNG streams.
 ///        --policy=<name>          override the balancing PREMA panels'
 ///                                 policy (any registry name, including the
-///                                 topology-aware sfc and cluster; anything
-///                                 else exits 2 with the list); panel (a)
-///                                 always runs without balancing.
+///                                 topology-aware sfc; anything else exits 2
+///                                 with the list); panel (a) always runs
+///                                 without balancing.
 
 namespace prema::bench {
 
@@ -59,15 +58,7 @@ inline int run_figure(int argc, char** argv, const char* title,
       cfg.fault_seed = std::strtoull(arg + 13, nullptr, 10);
     } else if (std::strncmp(arg, "--policy=", 9) == 0) {
       cfg.policy = arg + 9;
-      const std::vector<std::string> names = ilb::policy_names();
-      if (std::find(names.begin(), names.end(), cfg.policy) == names.end()) {
-        std::cerr << "unknown policy: " << cfg.policy << " (expected";
-        for (std::size_t k = 0; k < names.size(); ++k) {
-          std::cerr << (k == 0 ? " " : " | ") << names[k];
-        }
-        std::cerr << ")\n";
-        return 2;
-      }
+      if (!known_policy(cfg.policy)) return 2;
     } else {
       std::cerr << "unknown flag: " << arg << "\n"
                 << "usage: " << argv[0]

@@ -9,7 +9,9 @@
 //        --out=<path>      JSON report path (default BENCH_service.json)
 //        --backend=<name>  sim | thread | both (default both)
 //        --policy=<name>   sweep only this policy (any registry name,
-//                          including sfc | cluster; default both classics)
+//                          including sfc; default both classics). An
+//                          unknown name here or in --policy-switch exits 2
+//                          with the registry names.
 //        --policy-switch=t:name  swap every rank's policy to `name` at the
 //                          first epoch tick at/after machine time t (repeat
 //                          for a schedule). Applied to the mid-window switch
@@ -24,6 +26,7 @@
 
 #include "bench_support/bench_json.hpp"
 #include "bench_support/service_harness.hpp"
+#include "policy_flag.hpp"
 #include "support/assert.hpp"
 
 using namespace prema::bench;
@@ -140,6 +143,7 @@ int main(int argc, char** argv) {
       backend = arg + 10;
     } else if (std::strncmp(arg, "--policy=", 9) == 0) {
       only_policy = arg + 9;
+      if (!known_policy(only_policy)) return 2;
     } else if (std::strncmp(arg, "--policy-switch=", 16) == 0) {
       const std::string spec = arg + 16;
       const auto colon = spec.find(':');
@@ -151,6 +155,7 @@ int main(int argc, char** argv) {
         return 2;
       }
       switches.emplace_back(t, spec.substr(colon + 1));
+      if (!known_policy(switches.back().second)) return 2;
     } else {
       std::cerr << "unknown flag: " << arg << "\n"
                 << "usage: " << argv[0]

@@ -5,8 +5,10 @@
 // Run:  ./policy_tour
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "dmcs/sim_machine.hpp"
+#include "ilb/policy.hpp"
 #include "prema/runtime.hpp"
 
 using namespace prema;
@@ -63,13 +65,9 @@ double run_with_policy(const std::string& policy) {
 int main() {
   std::printf("one imbalanced workload, every bundled balancing policy\n");
   std::printf("(16 emulated procs; a quarter of them start with 4x-weight jobs)\n\n");
-  for (const char* policy : {"null", "work_stealing", "diffusion", "gradient",
-                             "master", "multilist", "sfc", "cluster"}) {
-    std::printf("  %-15s makespan %8.1f emulated seconds\n", policy,
+  for (const std::string& policy : ilb::policy_names()) {
+    std::printf("  %-15s makespan %8.1f emulated seconds\n", policy.c_str(),
                 run_with_policy(policy));
   }
-  std::printf(
-      "\n(cluster follows object-to-object traffic; these jobs never message\n"
-      " each other, so it correctly stays put and matches the null policy)\n");
   return 0;
 }

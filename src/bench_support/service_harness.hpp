@@ -46,10 +46,10 @@ struct ServiceScenario {
   double low_watermark = 1.0;
 
   /// Mid-window policy switches, applied in time order at epoch ticks (see
-  /// ServiceConfig::policy_switches). The topology-aware policies (sfc,
-  /// cluster) are the natural switch *targets*: they ignore stray in-flight
-  /// scalar wire tags, and the Balancer absorbs topology-range tags that an
-  /// early-switching rank sends to a peer still running a scalar policy.
+  /// ServiceConfig::policy_switches). The topology-aware sfc policy is the
+  /// natural switch *target*: it ignores stray in-flight scalar wire tags,
+  /// and the Balancer absorbs topology-range tags that an early-switching
+  /// rank sends to a peer still running a scalar policy.
   std::vector<std::pair<double, std::string>> policy_switches;
 
   /// Canned fault profile; "mid-pause" is the elasticity scenario (node 1

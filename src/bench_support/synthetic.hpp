@@ -38,8 +38,8 @@ struct SyntheticConfig {
   int units_per_proc = 864;
   /// Balancing-policy registry name for the balancing PREMA panels. Empty
   /// keeps "work_stealing" with the grant-size tuning below; any
-  /// ilb::make_policy name — including the topology-aware "sfc" and
-  /// "cluster" — overrides it. kNoLB always runs "null". Units always
+  /// ilb::make_policy name — including the topology-aware "sfc" —
+  /// overrides it. kNoLB always runs "null". Units always
   /// register grid coordinates (a no-op unless the policy wants topology).
   std::string policy;
   /// Machine backend for the PREMA systems: "sim" (emulated, deterministic)

@@ -206,12 +206,4 @@ void Balancer::trace_sfc_cut(std::size_t segments, double imbalance) {
   }
 }
 
-void Balancer::trace_cluster_merge(ProcId dst, std::size_t objects,
-                                   double traffic) {
-  if (auto* ts = node_.trace()) {
-    ts->record(trace::EventKind::kPolicyClusterMerge, node_.now(), dst, objects,
-               traffic);
-  }
-}
-
 }  // namespace prema::ilb

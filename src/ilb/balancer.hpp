@@ -66,9 +66,9 @@ class Balancer final : public PolicyContext {
 
   /// Swap in a new policy mid-run (service-mode switch schedules). The old
   /// policy's in-flight wire messages may still arrive and are delivered to
-  /// the new policy — so a switch target must tolerate stray tags (sfc and
-  /// cluster do; the scalar paper policies assert on unknown tags and are
-  /// only safe as the *first* policy in a schedule). Gossip state and the
+  /// the new policy — so a switch target must tolerate stray tags (sfc does;
+  /// the scalar paper policies assert on unknown tags and are only safe as
+  /// the *first* policy in a schedule). Gossip state and the
   /// interned trace name are reset; the new policy is init()-ed. Switching
   /// does NOT toggle MOL topology accounting — the runtime enables it up
   /// front when any scheduled policy wants it.
@@ -114,19 +114,8 @@ class Balancer final : public PolicyContext {
       const mol::MobilePtr& ptr) const override {
     return mol_.coords(ptr);
   }
-  [[nodiscard]] std::vector<mol::CommEdge> comm_edges() const override {
-    return mol_.comm_graph().edges();
-  }
-  [[nodiscard]] std::vector<mol::ProcTraffic> proc_traffic() const override {
-    return mol_.comm_graph().proc_traffic();
-  }
-  [[nodiscard]] ProcId object_location(const mol::MobilePtr& ptr) const override {
-    return mol_.location_hint(ptr);
-  }
   [[nodiscard]] std::vector<GossipSummary> gossip() const override;
   void trace_sfc_cut(std::size_t segments, double imbalance) override;
-  void trace_cluster_merge(ProcId dst, std::size_t objects,
-                           double traffic) override;
 
  private:
   /// Broadcast this processor's GossipSummary to every peer when due.

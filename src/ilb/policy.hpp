@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ilb/scheduler.hpp"
-#include "mol/comm_graph.hpp"
+#include "mol/coords.hpp"
 #include "mol/mobile_ptr.hpp"
 #include "support/byte_buffer.hpp"
 #include "support/rng.hpp"
@@ -101,8 +101,8 @@ class PolicyContext {
 
   // --- Topology view (defaulted: scalar-only policies never see it) -------
 
-  /// True when the MOL is accounting coordinates and message traffic for
-  /// this run. All accessors below return empty views when false.
+  /// True when the MOL is accounting object coordinates for this run. All
+  /// accessors below return empty views when false.
   [[nodiscard]] virtual bool topology_enabled() const { return false; }
 
   /// Application-registered coordinates for a locally known object.
@@ -111,18 +111,15 @@ class PolicyContext {
     return std::nullopt;
   }
 
-  /// Snapshot of this processor's object-to-object traffic edges.
+  /// Traffic-graph views. The Balancer does not implement them, so they
+  /// always return their defaults; they stay virtual because forwarding
+  /// contexts (perfbench/probes.hpp) override every PolicyContext method.
   [[nodiscard]] virtual std::vector<mol::CommEdge> comm_edges() const {
     return {};
   }
-
-  /// Snapshot of this processor's outbound per-processor traffic tally.
   [[nodiscard]] virtual std::vector<mol::ProcTraffic> proc_traffic() const {
     return {};
   }
-
-  /// Best-known location of `ptr` (local rank, a forwarding hint, or the
-  /// home directory's guess); kNoProc when nothing is known.
   [[nodiscard]] virtual ProcId object_location(const mol::MobilePtr&) const {
     return kNoProc;
   }
@@ -133,9 +130,10 @@ class PolicyContext {
     return {};
   }
 
-  /// Trace hooks for the topology policies' decision events. No-ops when
-  /// tracing is off (and on contexts that do not implement them).
+  /// Trace hook for the sfc policy's recut decisions. A no-op when tracing
+  /// is off (and on contexts that do not implement it).
   virtual void trace_sfc_cut(std::size_t /*segments*/, double /*imbalance*/) {}
+  /// Never called; kept virtual for the same reason as comm_edges().
   virtual void trace_cluster_merge(ProcId /*dst*/, std::size_t /*objects*/,
                                    double /*traffic*/) {}
 };
@@ -162,7 +160,7 @@ class Policy {
   virtual void on_work_arrived(PolicyContext&) {}
 
   /// Whether this policy consumes the topology view. When true, the runtime
-  /// turns on MOL coordinate/traffic accounting before the run starts and
+  /// turns on MOL coordinate accounting before the run starts and
   /// the Balancer broadcasts periodic GossipSummary digests. Scalar-only
   /// policies inherit `false` from StatelessPolicy, which keeps their wire
   /// and trace bytes identical to the pre-topology framework.
@@ -175,7 +173,7 @@ class Policy {
 
 /// Instantiate a policy from its registry name:
 ///   "null" | "work_stealing" | "diffusion" | "gradient" | "master" |
-///   "multilist" | "sfc" | "cluster"
+///   "multilist" | "sfc"
 /// Aborts on unknown names; flag parsers check policy_names() first.
 std::unique_ptr<Policy> make_policy(const std::string& name);
 

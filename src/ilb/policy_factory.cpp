@@ -1,6 +1,5 @@
 #include "ilb/policy.hpp"
 
-#include "ilb/policies/cluster.hpp"
 #include "ilb/policies/diffusion.hpp"
 #include "ilb/policies/gradient.hpp"
 #include "ilb/policies/master.hpp"
@@ -33,7 +32,6 @@ constexpr Registered kPolicies[] = {
     {"master", construct<MasterPolicy>},
     {"multilist", construct<MultiListPolicy>},
     {"sfc", construct<SfcPolicy>},
-    {"cluster", construct<ClusterPolicy>},
 };
 
 }  // namespace

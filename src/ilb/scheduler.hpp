@@ -46,7 +46,6 @@ class Scheduler {
   [[nodiscard]] std::size_t queued_units() const { return total_units_; }
   [[nodiscard]] double queued_weight() const { return total_weight_; }
   [[nodiscard]] bool executing() const { return executing_; }
-  [[nodiscard]] const mol::MobilePtr& executing_ptr() const { return executing_ptr_; }
 
   /// Per-object queued load, excluding the currently executing object —
   /// exactly the set a balancing policy may migrate.

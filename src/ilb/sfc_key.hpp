@@ -3,7 +3,7 @@
 #include <array>
 #include <cstdint>
 
-#include "mol/comm_graph.hpp"
+#include "mol/coords.hpp"
 
 /// \file sfc_key.hpp
 /// Space-filling-curve keys for the sfc balancing policy: map a 3-D position

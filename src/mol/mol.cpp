@@ -110,15 +110,6 @@ void Mol::message_locked(const MobilePtr& target, ObjectHandlerId handler,
   PREMA_CHECK_MSG(!target.is_null(), "message to null mobile pointer");
   const std::uint32_t seq = next_seq_out_[target]++;
   const ProcId dst = is_local_locked(target) ? node_.rank() : best_known(target);
-  if (topology_ && hooks_.current_sender) {
-    // Attribute the send to the executing object's outgoing edge. Routed by
-    // best-known location, so the per-proc tally reflects where traffic was
-    // *aimed*, which is what a clustering policy can act on.
-    const MobilePtr sender = hooks_.current_sender();
-    if (!sender.is_null()) {
-      graph_.record_send(sender, target, dst, payload.size());
-    }
-  }
   send_route(dst, target, node_.rank(), seq, 0, handler, weight, std::move(payload));
 }
 
@@ -261,23 +252,17 @@ void Mol::migrate_locked(const MobilePtr& ptr, ProcId dst) {
     w.put_bytes(buffered.payload);
   }
   if (topology_) {
-    // Topology appendix: the object's coordinates and outgoing comm-graph
-    // edges travel with it. Present exactly when topology accounting is on,
-    // which is fixed before the run — so traced migration byte sizes stay
-    // deterministic within a run and identical across runs of the same
-    // configuration.
-    const CommGraph::ObjectSlice slice = graph_.extract(ptr);
-    w.put<std::uint8_t>(slice.coords ? 1 : 0);
-    if (slice.coords) {
-      w.put<double>(slice.coords->x);
-      w.put<double>(slice.coords->y);
-      w.put<double>(slice.coords->z);
-    }
-    w.put<std::uint64_t>(slice.edges.size());
-    for (const CommEdge& e : slice.edges) {
-      put_ptr(w, e.dst);
-      w.put<std::uint64_t>(e.msgs);
-      w.put<std::uint64_t>(e.bytes);
+    // Topology appendix: the object's coordinates travel with it. Present
+    // exactly when topology accounting is on, which is fixed before the run
+    // — so traced migration byte sizes stay deterministic within a run and
+    // identical across runs of the same configuration.
+    const auto cit = coords_.find(ptr);
+    w.put<std::uint8_t>(cit != coords_.end() ? 1 : 0);
+    if (cit != coords_.end()) {
+      w.put<double>(cit->second.x);
+      w.put<double>(cit->second.y);
+      w.put<double>(cit->second.z);
+      coords_.erase(cit);
     }
   }
 
@@ -413,14 +398,7 @@ void Mol::on_migrate_locked(Message&& msg) {
       c.x = r.get<double>();
       c.y = r.get<double>();
       c.z = r.get<double>();
-      graph_.set_coords(ptr, c);
-    }
-    const auto n_edges = r.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n_edges; ++i) {
-      const MobilePtr edst = get_ptr(r);
-      const auto msgs = r.get<std::uint64_t>();
-      const auto bytes = r.get<std::uint64_t>();
-      graph_.merge_edge(ptr, edst, msgs, bytes);
+      coords_[ptr] = c;
     }
   }
 
@@ -475,17 +453,16 @@ void Mol::set_coords(const MobilePtr& ptr, const Coords& c) {
   // No-op when topology accounting is off, so applications may register
   // coordinates unconditionally without perturbing scalar-policy runs.
   if (!topology_) return;
-  graph_.set_coords(ptr, c);
+  util::RecursiveLock g(node_.state_mutex());
+  coords_[ptr] = c;
 }
 
 std::optional<Coords> Mol::coords(const MobilePtr& ptr) const {
   if (!topology_) return std::nullopt;
-  return graph_.coords(ptr);
-}
-
-ProcId Mol::location_hint(const MobilePtr& ptr) const {
   util::RecursiveLock g(node_.state_mutex());
-  return is_local_locked(ptr) ? node_.rank() : best_known(ptr);
+  const auto it = coords_.find(ptr);
+  if (it == coords_.end()) return std::nullopt;
+  return it->second;
 }
 
 MolLayer::MolLayer(dmcs::Machine& machine) {

@@ -3,13 +3,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dmcs/machine.hpp"
-#include "mol/comm_graph.hpp"
+#include "mol/coords.hpp"
 #include "mol/delivery.hpp"
 #include "mol/mobile_object.hpp"
 #include "mol/mobile_ptr.hpp"
@@ -50,10 +51,6 @@ class Mol {
     /// An object (and its queued deliveries, re-announced via on_delivery)
     /// arrived by migration.
     std::function<void(const MobilePtr&)> on_installed;
-    /// The mobile object whose handler is currently executing on this
-    /// processor (null when the send comes from main/drivers). Used to
-    /// attribute sends to comm-graph edges; may be left unset.
-    std::function<MobilePtr()> current_sender;
   };
 
   struct Stats {
@@ -111,9 +108,9 @@ class Mol {
   /// this after fault-injected experiments.
   [[nodiscard]] std::size_t in_transit_count() const;
 
-  // -- topology accounting (coordinates + communication graph) ---------------
+  // -- topology accounting (per-object coordinates) --------------------------
 
-  /// Turn on coordinate/traffic accounting for this run. Must be called
+  /// Turn on coordinate accounting for this run. Must be called
   /// before the run starts and never mid-run: enabling it appends a topology
   /// section to the migrate wire image, so flipping it between runs (or
   /// mid-run) would change traced byte sizes and break sim determinism
@@ -124,17 +121,10 @@ class Mol {
 
   /// Register (or update) an object's spatial coordinates. A no-op unless
   /// topology accounting is enabled — so applications may call it
-  /// unconditionally without perturbing scalar-policy runs.
+  /// unconditionally without perturbing scalar-policy runs. The coordinates
+  /// leave with the object when it migrates.
   void set_coords(const MobilePtr& ptr, const Coords& c);
   [[nodiscard]] std::optional<Coords> coords(const MobilePtr& ptr) const;
-
-  /// This processor's coordinate + traffic slab (its own leaf lock).
-  [[nodiscard]] CommGraph& comm_graph() { return graph_; }
-  [[nodiscard]] const CommGraph& comm_graph() const { return graph_; }
-
-  /// Best-known location of `ptr`: this rank if local, else the forwarding /
-  /// cached / home-directory guess.
-  [[nodiscard]] ProcId location_hint(const MobilePtr& ptr) const;
 
  private:
   struct Buffered {
@@ -228,11 +218,12 @@ class Mol {
   std::uint64_t migration_epoch_ PREMA_GUARDED_BY(node_.state_mutex()) = 0;
 
   // -- topology accounting ---------------------------------------------------
+  /// Coordinates registered here or carried in by a migration (topology
+  /// runs only); an entry leaves with its object in the migrate image.
+  std::map<MobilePtr, Coords> coords_ PREMA_GUARDED_BY(node_.state_mutex());
+
   /// Set once before the run (see enable_topology); read-only afterwards.
   bool topology_ = false;
-  /// Guarded by its own leaf lock (comm_mu), not the state lock: policies
-  /// snapshot it from the polling thread without entering the directory.
-  CommGraph graph_;
 };
 
 /// Machine-wide MOL: registers the DMCS handlers once and owns one Mol per

@@ -232,12 +232,6 @@ Runtime::Runtime(dmcs::Machine& machine, RuntimeConfig cfg)
       r->did_work = true;
       r->balancer->work_arrived();
     };
-    hooks.current_sender = [r]() -> mol::MobilePtr {
-      r->assert_state_held();
-      // The scheduler, not NodeRt::has_current, knows who is executing:
-      // exec_wrapper clears has_current before the handler body runs.
-      return r->sched.executing() ? r->sched.executing_ptr() : mol::kNullMobilePtr;
-    };
     r->mol->set_hooks(std::move(hooks));
   }
 

@@ -54,8 +54,8 @@ class Context {
   void message(const mol::MobilePtr& target, mol::ObjectHandlerId handler,
                std::vector<std::uint8_t> payload = {}, double weight = 1.0);
 
-  /// Register (or update) an object's spatial coordinates for topology-aware
-  /// policies (sfc / cluster). A no-op unless the run's policy wants
+  /// Register (or update) an object's spatial coordinates for the
+  /// topology-aware sfc policy. A no-op unless the run's policy wants
   /// topology, so applications may call it unconditionally.
   void set_coords(const mol::MobilePtr& ptr, const mol::Coords& c) {
     mol_->set_coords(ptr, c);

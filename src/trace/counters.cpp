@@ -76,7 +76,6 @@ ProcCounters& ProcCounters::operator+=(const ProcCounters& other) {
   service_completions += other.service_completions;
   service_epochs += other.service_epochs;
   sfc_cuts += other.sfc_cuts;
-  cluster_merges += other.cluster_merges;
   work_seconds += other.work_seconds;
   partition_seconds += other.partition_seconds;
   msg_size += other.msg_size;

@@ -72,9 +72,8 @@ struct ProcCounters {
   std::uint64_t service_arrivals = 0;     ///< open-loop requests injected
   std::uint64_t service_completions = 0;  ///< request handlers finished
   std::uint64_t service_epochs = 0;       ///< epoch cadence ticks
-  // Topology policies (all zero under scalar-only policies):
+  // Topology policies (zero under scalar-only policies):
   std::uint64_t sfc_cuts = 0;         ///< sfc coordinator curve recuts
-  std::uint64_t cluster_merges = 0;   ///< cluster co-migration batches
 
   double work_seconds = 0.0;       ///< summed work-unit span durations
   double partition_seconds = 0.0;  ///< summed partition span durations

@@ -49,8 +49,6 @@ constexpr KindInfo kKinds[] = {
      &C::service_epochs},
     {EventKind::kPolicySfcCut, "policy.sfc_cut", "policy", false,
      {{"segments", kSize}, {"imbalance", kValue}}, &C::sfc_cuts},
-    {EventKind::kPolicyClusterMerge, "policy.cluster_merge", "policy", false,
-     {{"dst", kPeer}, {"objects", kSize}, {"traffic", kValue}}, &C::cluster_merges},
 };
 
 constexpr bool rows_complete_and_in_order() {

@@ -65,7 +65,6 @@ enum class EventKind : std::uint8_t {
   kServiceComplete, ///< request handler finished (size=client, value=sojourn s)
   kServiceEpoch,    ///< service-mode epoch tick (value=sampled load)
   kPolicySfcCut,    ///< sfc recut (size=segments, value=max/mean segment load)
-  kPolicyClusterMerge,  ///< cluster batch (peer=dst, size=objects, value=mutual bytes)
   kCount
 };
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "ilb/policies/cluster.hpp"
 #include "ilb/policies/diffusion.hpp"
 #include "ilb/policies/gradient.hpp"
 #include "ilb/policies/master.hpp"
@@ -195,22 +194,8 @@ class FakeContext final : public PolicyContext {
     if (it == coords_.end()) return std::nullopt;
     return it->second;
   }
-  [[nodiscard]] std::vector<mol::CommEdge> comm_edges() const override {
-    return edges_;
-  }
-  [[nodiscard]] ProcId object_location(const mol::MobilePtr& ptr) const override {
-    const auto it = locations_.find(ptr);
-    return it == locations_.end() ? kNoProc : it->second;
-  }
-  [[nodiscard]] std::vector<GossipSummary> gossip() const override {
-    return gossip_;
-  }
   void trace_sfc_cut(std::size_t segments, double imbalance) override {
     sfc_cuts_.push_back({segments, imbalance});
-  }
-  void trace_cluster_merge(ProcId dst, std::size_t objects,
-                           double traffic) override {
-    cluster_merges_.push_back({dst, objects, traffic});
   }
 
   void set_load(double load) { load_ = load; }
@@ -218,12 +203,6 @@ class FakeContext final : public PolicyContext {
     objects_.push_back({ptr, 1, weight});
     load_ += weight;
   }
-
-  struct ClusterMergeEvent {
-    ProcId dst;
-    std::size_t objects;
-    double traffic;
-  };
 
   ProcId rank_;
   int nprocs_;
@@ -236,11 +215,7 @@ class FakeContext final : public PolicyContext {
   std::vector<double> poll_requests_;
   bool topology_ = false;
   std::map<mol::MobilePtr, mol::Coords> coords_;
-  std::map<mol::MobilePtr, ProcId> locations_;
-  std::vector<mol::CommEdge> edges_;
-  std::vector<GossipSummary> gossip_;
   std::vector<std::pair<std::size_t, double>> sfc_cuts_;
-  std::vector<ClusterMergeEvent> cluster_merges_;
 };
 
 util::ByteReader reader_of(const SentMsg& m) { return util::ByteReader(m.body); }
@@ -622,92 +597,19 @@ TEST(Sfc, IgnoresForeignTagsAndHashesCoordlessObjects) {
   EXPECT_EQ(b, p.bucket_of(ctx, coordless));
 }
 
-TEST(Cluster, MigratesTowardDominantPartnerAndCoMigratesClique) {
-  FakeContext ctx(0, 2);
-  ctx.topology_ = true;
-  ClusterPolicy p;
-  p.init(ctx);
-  const mol::MobilePtr a{0, 0};
-  const mol::MobilePtr b{0, 1};
-  const mol::MobilePtr c{1, 0};  // remote, on rank 1
-  ctx.add_object(a, 1.0);
-  ctx.add_object(b, 1.0);
-  ctx.locations_[a] = 0;
-  ctx.locations_[b] = 0;
-  ctx.locations_[c] = 1;
-  // a talks to remote c twice as much as to local b; b talks only to a.
-  ctx.edges_.push_back({a, c, 10, 6000});
-  ctx.edges_.push_back({a, b, 5, 3000});
-  GossipSummary s;
-  s.proc = 1;
-  s.load = 0.0;  // rank 1 is idle: a fine destination
-  ctx.gossip_.push_back(s);
-
-  ctx.now_ = 1.0;  // past the first eval deadline
-  p.on_poll(ctx);
-
-  // a moves to its dominant partner's processor, and b — whose traffic is
-  // entirely with a — rides along so the clique stays together.
-  ASSERT_EQ(ctx.migrations_.size(), 2u);
-  EXPECT_EQ(ctx.migrations_[0].ptr, a);
-  EXPECT_EQ(ctx.migrations_[0].dst, 1);
-  EXPECT_EQ(ctx.migrations_[1].ptr, b);
-  EXPECT_EQ(ctx.migrations_[1].dst, 1);
-  EXPECT_EQ(p.stats().objects_moved, 1u);
-  EXPECT_EQ(p.stats().co_migrations, 1u);
-  ASSERT_EQ(ctx.cluster_merges_.size(), 1u);
-  EXPECT_EQ(ctx.cluster_merges_[0].dst, 1);
-  EXPECT_EQ(ctx.cluster_merges_[0].objects, 2u);
-  EXPECT_DOUBLE_EQ(ctx.cluster_merges_[0].traffic, 9000.0);
-}
-
-TEST(Cluster, StaysPutWhenInternalTrafficDominatesOrPeerIsBusy) {
-  FakeContext ctx(0, 2);
-  ctx.topology_ = true;
-  ClusterPolicy p;
-  p.init(ctx);
-  const mol::MobilePtr a{0, 0};
-  const mol::MobilePtr b{0, 1};
-  const mol::MobilePtr c{1, 0};
-  ctx.add_object(a, 1.0);
-  ctx.add_object(b, 1.0);
-  ctx.locations_[a] = 0;
-  ctx.locations_[b] = 0;
-  ctx.locations_[c] = 1;
-  // External traffic exists but does not exceed 1.5x internal: no move.
-  ctx.edges_.push_back({a, b, 10, 6000});
-  ctx.edges_.push_back({a, c, 10, 6000});
-  ctx.now_ = 1.0;
-  p.on_poll(ctx);
-  EXPECT_TRUE(ctx.migrations_.empty());
-
-  // Dominant external traffic, but the gossiped destination load is higher
-  // than ours: the overshoot gate holds the object back.
-  ctx.edges_.clear();
-  ctx.edges_.push_back({a, c, 20, 60000});
-  GossipSummary s;
-  s.proc = 1;
-  s.load = 100.0;
-  ctx.gossip_.push_back(s);
-  ctx.now_ = 2.0;
-  p.on_poll(ctx);
-  EXPECT_TRUE(ctx.migrations_.empty());
-}
-
 TEST(PolicyFactory, MakesEveryRegisteredPolicy) {
   EXPECT_EQ(policy_names(),
             (std::vector<std::string>{"null", "work_stealing", "diffusion",
-                                      "gradient", "master", "multilist", "sfc",
-                                      "cluster"}));
+                                      "gradient", "master", "multilist",
+                                      "sfc"}));
   for (const std::string& name : policy_names()) {
     auto p = make_policy(name);
     ASSERT_NE(p, nullptr);
     if (name != "null") {
       EXPECT_EQ(p->name(), name);
     }
-    // The topology split: exactly sfc and cluster consume the widened view.
-    const bool topo = name == "sfc" || name == "cluster";
-    EXPECT_EQ(p->wants_topology(), topo) << name;
+    // The topology split: exactly sfc consumes the widened view.
+    EXPECT_EQ(p->wants_topology(), name == "sfc") << name;
   }
 }
 

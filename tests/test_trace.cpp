@@ -92,7 +92,6 @@ TEST(TraceGolden, EveryKindExportsAndCountsExactly) {
   s.service_complete(9.5, 12345, 0.125);
   s.record(EventKind::kServiceEpoch, 10.0, kNoProc, 0, 3.25);
   s.record(EventKind::kPolicySfcCut, 10.5, kNoProc, 4, 1.125);
-  s.record(EventKind::kPolicyClusterMerge, 11.0, 1, 6, 2048.0);
   s.sample_migrations_round(2.0);
   rec.sink(1).record(EventKind::kMessageSend, 0.5, 0, 8, 0.0, 0, true);
 
@@ -125,7 +124,6 @@ TEST(TraceGolden, EveryKindExportsAndCountsExactly) {
 {"name":"service-complete","cat":"service","ph":"i","pid":0,"tid":0,"ts":9500000.000,"s":"t","args":{"client":12345,"sojourn_s":0.125}},
 {"name":"service-epoch","cat":"service","ph":"i","pid":0,"tid":0,"ts":10000000.000,"s":"t","args":{"load":3.25}},
 {"name":"policy.sfc_cut","cat":"policy","ph":"i","pid":0,"tid":0,"ts":10500000.000,"s":"t","args":{"segments":4,"imbalance":1.125}},
-{"name":"policy.cluster_merge","cat":"policy","ph":"i","pid":0,"tid":0,"ts":11000000.000,"s":"t","args":{"dst":1,"objects":6,"traffic":2048}},
 {"name":"send","cat":"msg","ph":"i","pid":0,"tid":1,"ts":500000.000,"s":"t","args":{"dst":0,"bytes":8,"system":true}}
 ]}
 )");
@@ -152,7 +150,6 @@ TEST(TraceGolden, EveryKindExportsAndCountsExactly) {
   EXPECT_EQ(c.service_completions, 1u);
   EXPECT_EQ(c.service_epochs, 1u);
   EXPECT_EQ(c.sfc_cuts, 1u);
-  EXPECT_EQ(c.cluster_merges, 1u);
   EXPECT_DOUBLE_EQ(c.work_seconds, 0.5);
   EXPECT_DOUBLE_EQ(c.partition_seconds, 0.25);
   EXPECT_EQ(c.msg_size.count(), 1u);
@@ -168,7 +165,7 @@ TEST(TraceGolden, EveryKindExportsAndCountsExactly) {
   std::ostringstream summary;
   trace::write_summary(summary, rec);
   EXPECT_EQ(summary.str(),
-            R"(trace summary: 2 processors, 25 events retained, 0 dropped to ring overflow
+            R"(trace summary: 2 processors, 24 events retained, 0 dropped to ring overflow
   proc  work-units   work-s     msgs-out   msgs-in    bytes-out  migr-out  migr-in  decisions  wakeups
      0           1       0.50          1          1         100         1        1          1        1
      1           0       0.00          1          0           8         0        0          0        0
