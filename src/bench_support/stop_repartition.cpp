@@ -17,6 +17,9 @@ using util::TimeCategory;
 
 namespace {
 
+/// Completion counts are batched to the root every this many units.
+constexpr int kCompletionBatch = 32;
+
 void put_ptr(ByteWriter& w, const mol::MobilePtr& p) {
   w.put<ProcId>(p.home);
   w.put<std::uint32_t>(p.index);
@@ -67,7 +70,7 @@ class Runtime::Program final : public dmcs::Program {
     n.execute(Message{rt_.exec_h_, n.rank(), MsgKind::kApp, {}}, [this, &n] {
       node_.sched.complete();
       ++node_.completions_since_report;
-      if (node_.completions_since_report >= rt_.cfg_.completion_batch) {
+      if (node_.completions_since_report >= kCompletionBatch) {
         ByteWriter w;
         w.put<std::int64_t>(node_.completions_since_report);
         node_.completions_since_report = 0;
@@ -191,7 +194,7 @@ double Runtime::run() {
 void Runtime::maybe_notify_low(dmcs::Node& n) {
   NodeRt& r = rt(n.rank());
   if (r.low_notified || r.halted) return;
-  if (r.sched.load(cfg_.use_weight) >= cfg_.low_watermark) return;
+  if (r.sched.queued_weight() >= cfg_.low_watermark) return;
   r.low_notified = true;
   n.send(0, Message{low_h_, n.rank(), MsgKind::kSystem, {}});
 }
@@ -384,7 +387,6 @@ void Runtime::on_resume(dmcs::Node& n, Message&&) {
   NodeRt& r = rt(n.rank());
   r.halted = false;
   r.expected.clear();
-  r.low_notified = r.sched.load(cfg_.use_weight) < cfg_.low_watermark;
   // A processor that is still starved after the exchange may notify again
   // (after the root's cooldown) — the repeated-synchronization pathology.
   r.low_notified = false;

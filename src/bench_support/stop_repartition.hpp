@@ -58,10 +58,8 @@ using ObjectHandler = std::function<void(Context&, mol::MobileObject&,
                                          util::ByteReader&, const mol::Delivery&)>;
 
 struct SrpConfig {
-  /// Queued load below which a processor notifies the root.
+  /// Queued weight hints below which a processor notifies the root.
   double low_watermark = 2.0;
-  /// Use weight hints (true) or unit counts for the load/notify decision.
-  bool use_weight = true;
   /// The root declines to balance when the outstanding fraction of total
   /// work-unit count drops below this.
   double min_outstanding_fraction = 0.10;
@@ -69,8 +67,6 @@ struct SrpConfig {
   double cooldown_s = 15.0;
   /// Relative Cost Factor for the unified repartitioner.
   double alpha = 1.0;
-  /// Completion counts are batched to the root every this many units.
-  int completion_batch = 32;
   /// Emulated compute rate used for the modeled partitioner cost.
   double proc_mflops = 333.0;
 };

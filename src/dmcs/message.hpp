@@ -16,7 +16,9 @@
 namespace prema::dmcs {
 
 /// Identifies a registered handler; stable across processors because every
-/// rank registers the same handlers in the same order.
+/// rank registers the same handlers in the same order. Adding a wire handler
+/// is one `registry().add(name, fn)` call (HandlerRegistry aborts on a
+/// duplicate name).
 using HandlerId = std::uint32_t;
 
 inline constexpr HandlerId kNoHandler = 0;
@@ -52,40 +54,5 @@ struct Message {
 
   [[nodiscard]] std::size_t size_bytes() const { return payload.size(); }
 };
-
-/// The wire-protocol manifest: every cross-processor handler name the stack
-/// registers, one X-macro entry per name. This is the source of truth the
-/// static analyzer (tools/analyze, "protocol" pass) cross-checks against the
-/// actual HandlerRegistry::add sites and the trace label table
-/// (trace/wire_names.hpp) — adding a handler means adding it in all three
-/// places, and the analyzer fails the build when they drift. The first
-/// argument is a stable symbol for enumerating; the second is the registered
-/// name string.
-#define PREMA_WIRE_HANDLERS(X)             \
-  X(kPremaExec, "prema.exec")              \
-  X(kIlbPolicy, "ilb.policy")              \
-  X(kPremaTerm, "prema.term")              \
-  X(kMolRoute, "mol.route")                \
-  X(kMolMigrate, "mol.migrate")            \
-  X(kMolUpdate, "mol.update")              \
-  X(kMolOffer, "mol.offer")                \
-  X(kMolCommit, "mol.commit")              \
-  X(kCharmMsg, "charm.msg")                \
-  X(kCharmExec, "charm.exec")              \
-  X(kCharmSync, "charm.sync")              \
-  X(kCharmAssign, "charm.assign")          \
-  X(kCharmMigrate, "charm.migrate")        \
-  X(kCharmMigdone, "charm.migdone")        \
-  X(kCharmResume, "charm.resume")          \
-  X(kSrpExec, "srp.exec")                  \
-  X(kSrpLow, "srp.low")                    \
-  X(kSrpHalt, "srp.halt")                  \
-  X(kSrpReport, "srp.report")              \
-  X(kSrpAssign, "srp.assign")              \
-  X(kSrpMigdone, "srp.migdone")            \
-  X(kSrpResume, "srp.resume")              \
-  X(kSrpCompleted, "srp.completed")        \
-  X(kServiceArrival, "service.arrival")    \
-  X(kServiceEpoch, "service.epoch")
 
 }  // namespace prema::dmcs

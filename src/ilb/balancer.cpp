@@ -9,6 +9,17 @@ namespace prema::ilb {
 using util::ByteReader;
 using util::ByteWriter;
 
+namespace {
+
+/// CPU cost charged (Scheduling) per policy decision event.
+constexpr double kDecisionCostS = 5e-6;
+/// Period of the framework's gossip broadcast (topology policies only): every
+/// interval each processor sends its GossipSummary to all peers, so a remote
+/// digest is at most one interval plus one message latency stale.
+constexpr double kGossipIntervalS = 50e-3;
+
+}  // namespace
+
 Balancer::Balancer(dmcs::Node& node, mol::Mol& mol, Scheduler& sched,
                    std::unique_ptr<Policy> policy, BalancerConfig cfg,
                    dmcs::HandlerId policy_wire_h)
@@ -21,14 +32,12 @@ Balancer::Balancer(dmcs::Node& node, mol::Mol& mol, Scheduler& sched,
   PREMA_CHECK_MSG(policy_ != nullptr, "balancer needs a policy (use \"null\")");
 }
 
-void Balancer::init() {
-  if (cfg_.enabled) policy_->init(*this);
-}
+void Balancer::init() { policy_->init(*this); }
 
 void Balancer::poll() {
-  if (!cfg_.enabled || stopped_) return;
+  if (stopped_) return;
   ++stats_.polls;
-  charge_seconds(cfg_.decision_cost_s);
+  charge_seconds(kDecisionCostS);
   maybe_gossip();
   policy_->on_poll(*this);
   if (auto* ts = node_.trace(); ts && migrations_this_round_ > 0) {
@@ -38,7 +47,6 @@ void Balancer::poll() {
 }
 
 void Balancer::on_wire(dmcs::Message&& msg) {
-  if (!cfg_.enabled) return;
   ++stats_.wire_messages;
   ByteReader r(msg.payload);
   const auto tag = r.get<PolicyTag>();
@@ -63,7 +71,7 @@ void Balancer::on_wire(dmcs::Message&& msg) {
     s.centroid.y = r.get<double>();
     s.centroid.z = r.get<double>();
     if (!policy_->wants_topology()) return;
-    charge_seconds(cfg_.decision_cost_s);
+    charge_seconds(kDecisionCostS);
     gossip_[s.proc] = s;
     policy_->on_gossip(*this, s);
     return;
@@ -76,20 +84,16 @@ void Balancer::on_wire(dmcs::Message&& msg) {
     // inside their own tag range.
     return;
   }
-  charge_seconds(cfg_.decision_cost_s);
+  charge_seconds(kDecisionCostS);
   if (auto* ts = node_.trace()) {
     ts->record(trace::EventKind::kPolicyWire, node_.now(), msg.src, tag);
   }
   policy_->on_message(*this, msg.src, tag, r);
 }
 
-void Balancer::work_arrived() {
-  if (!cfg_.enabled) return;
-  policy_->on_work_arrived(*this);
-}
+void Balancer::work_arrived() { policy_->on_work_arrived(*this); }
 
 void Balancer::unit_started() {
-  if (!cfg_.enabled) return;
   // Paper §4.2: with preemptive message processing, "load balancing begins
   // when the underloaded processor begins work on its last local work unit".
   // Arm the polling thread by sending ourselves a system message; it will be
@@ -100,7 +104,7 @@ void Balancer::unit_started() {
 }
 
 void Balancer::request_poll_after(double seconds) {
-  if (!cfg_.enabled || stopped_ || self_tick_armed_) return;
+  if (stopped_ || self_tick_armed_) return;
   self_tick_armed_ = true;
   ByteWriter w;
   w.put<PolicyTag>(0);
@@ -153,7 +157,7 @@ void Balancer::maybe_gossip() {
   if (!policy_->wants_topology()) return;
   const double t = node_.now();
   if (t < next_gossip_) return;
-  next_gossip_ = t + cfg_.gossip_interval_s;
+  next_gossip_ = t + kGossipIntervalS;
 
   GossipSummary s;
   s.proc = node_.rank();
@@ -196,7 +200,7 @@ void Balancer::switch_policy(std::unique_ptr<Policy> policy) {
   policy_name_id_ = 0;       // re-intern the new name lazily
   gossip_.clear();           // stale digests belong to the old policy
   next_gossip_ = node_.now();  // gossip immediately if the new policy wants it
-  if (cfg_.enabled) policy_->init(*this);
+  policy_->init(*this);
 }
 
 void Balancer::trace_sfc_cut(std::size_t segments, double imbalance) {

@@ -21,22 +21,13 @@
 
 namespace prema::ilb {
 
+/// Water-marks on a processor's load, which is its queued application weight
+/// hints (Scheduler::queued_weight).
 struct BalancerConfig {
-  /// Load below which this processor asks for work (in weight-hint units or
-  /// unit counts, per `use_weight`).
+  /// Load below which this processor asks for work.
   double low_watermark = 2.0;
   /// Load above which a processor is willing to donate.
   double donate_threshold = 4.0;
-  /// Use application weight hints (true) or unit counts (false) as load.
-  bool use_weight = true;
-  /// CPU cost charged (Scheduling) per policy decision event.
-  double decision_cost_s = 5e-6;
-  /// Master switch; off = "no load balancing" baseline.
-  bool enabled = true;
-  /// Period of the framework's gossip broadcast (topology policies only):
-  /// every interval each processor sends its GossipSummary to all peers, so
-  /// a remote digest is at most one interval plus one message latency stale.
-  double gossip_interval_s = 50e-3;
 };
 
 class Balancer final : public PolicyContext {
@@ -61,7 +52,6 @@ class Balancer final : public PolicyContext {
   /// polling-thread wakeup (implicit mode) via a self system message.
   void unit_started();
 
-  [[nodiscard]] const BalancerConfig& config() const { return cfg_; }
   [[nodiscard]] Policy& policy() { return *policy_; }
 
   /// Swap in a new policy mid-run (service-mode switch schedules). The old
@@ -91,9 +81,7 @@ class Balancer final : public PolicyContext {
   [[nodiscard]] int nprocs() const override { return node_.nprocs(); }
   [[nodiscard]] double now() const override { return node_.now(); }
   [[nodiscard]] util::Rng& rng() override { return node_.rng(); }
-  [[nodiscard]] double local_load() const override {
-    return sched_.load(cfg_.use_weight);
-  }
+  [[nodiscard]] double local_load() const override { return sched_.queued_weight(); }
   [[nodiscard]] double low_watermark() const override { return cfg_.low_watermark; }
   [[nodiscard]] double donate_threshold() const override { return cfg_.donate_threshold; }
   [[nodiscard]] std::vector<Scheduler::ObjectLoad> migratable() const override {

@@ -63,8 +63,8 @@ class PolicyContext {
   [[nodiscard]] virtual double now() const = 0;
   [[nodiscard]] virtual util::Rng& rng() = 0;
 
-  /// Queued local load (application weight hints or unit count, per the
-  /// balancer's configuration). Does not include the executing unit.
+  /// Queued local load: the application weight hints of the queued units.
+  /// Does not include the executing unit.
   [[nodiscard]] virtual double local_load() const = 0;
 
   /// The configured low water-mark below which this processor counts as

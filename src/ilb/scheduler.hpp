@@ -15,8 +15,8 @@
 /// preserves per-sender order).
 ///
 /// The scheduler is also the load model: the balancing framework reads the
-/// queued weight (application hints) or unit count, and migration surrenders
-/// an object's queued units via take_queued.
+/// queued weight (application hints), and migration surrenders an object's
+/// queued units via take_queued.
 
 namespace prema::ilb {
 
@@ -44,18 +44,14 @@ class Scheduler {
 
   [[nodiscard]] bool has_work() const { return !ready_.empty(); }
   [[nodiscard]] std::size_t queued_units() const { return total_units_; }
+  /// Load visible to the balancer: the queued weight hints only (the running
+  /// unit is committed to this processor either way).
   [[nodiscard]] double queued_weight() const { return total_weight_; }
   [[nodiscard]] bool executing() const { return executing_; }
 
   /// Per-object queued load, excluding the currently executing object —
   /// exactly the set a balancing policy may migrate.
   [[nodiscard]] std::vector<ObjectLoad> migratable_loads() const;
-
-  /// Load visible to the balancer: queued work only (the running unit is
-  /// committed to this processor either way).
-  [[nodiscard]] double load(bool use_weight) const {
-    return use_weight ? total_weight_ : static_cast<double>(total_units_);
-  }
 
  private:
   /// Re-anchor the weight aggregate after removals: summing arbitrary

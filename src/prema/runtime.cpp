@@ -154,7 +154,7 @@ class Runtime::NodeProgram final : public dmcs::Program {
     auto g = n.lock_state();
     node_.assert_state_held();
     node_.balancer->poll();
-    if (rt_.cfg_.termination_detection) rt_.term_on_idle(node_);
+    rt_.term_on_idle(node_);
   }
 
  private:
@@ -398,7 +398,7 @@ void Runtime::service_on_epoch(NodeRt& r) {
     ++r.next_switch;
   }
   r.balancer->poll();
-  const double load = r.sched.load(r.balancer->config().use_weight);
+  const double load = r.sched.queued_weight();
   if (auto* ts = r.node->trace()) {
     ts->record(trace::EventKind::kServiceEpoch, t, kNoProc, 0, load);
   }

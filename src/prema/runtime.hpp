@@ -90,8 +90,6 @@ struct RuntimeConfig {
   /// Overrides `policy` when set: builds one policy instance per processor
   /// (for tuned parameters the registry defaults don't cover).
   std::function<std::unique_ptr<ilb::Policy>()> policy_factory;
-  /// Run the quiescence detector (a few extra control messages).
-  bool termination_detection = true;
   /// Event tracing (src/trace). Off by default; when enabled the runtime
   /// attaches a recorder to the machine before run().
   trace::TraceConfig trace;

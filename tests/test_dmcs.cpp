@@ -329,6 +329,13 @@ TEST(SimDmcsDeathTest, NestedExecuteAborts) {
   EXPECT_DEATH(boom(), "work-unit body");
 }
 
+TEST(HandlerRegistryDeathTest, DuplicateNameAborts) {
+  HandlerRegistry reg;
+  reg.add("demo.ping", [](Node&, Message&&) {});
+  EXPECT_DEATH(reg.add("demo.ping", [](Node&, Message&&) {}),
+               "duplicate handler registration");
+}
+
 // ---------------------------------------------------------------------------
 // ThreadMachine
 // ---------------------------------------------------------------------------

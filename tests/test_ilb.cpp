@@ -78,8 +78,7 @@ TEST(Scheduler, LoadTracksWeightsAndCounts) {
   s.enqueue(make_delivery(a, 2.5, 0));
   s.enqueue(make_delivery(a, 0.5, 1));
   EXPECT_DOUBLE_EQ(s.queued_weight(), 3.0);
-  EXPECT_DOUBLE_EQ(s.load(true), 3.0);
-  EXPECT_DOUBLE_EQ(s.load(false), 2.0);
+  EXPECT_EQ(s.queued_units(), 2u);
   (void)s.pick();
   EXPECT_DOUBLE_EQ(s.queued_weight(), 0.5);
   s.complete();

@@ -9,14 +9,11 @@ const std::vector<PassInfo>& all_passes() {
   static const std::vector<PassInfo> passes = {
       {"conventions", pass_conventions, /*needs_index=*/false},
       {"lock-order", pass_lock_order, false},
-      {"protocol", pass_protocol, false},
       {"serialization", pass_serialization, false},
-      {"time-domain", pass_time_domain, false},
       {"lock-flow", pass_lock_flow, /*needs_index=*/true},
       {"protocol-fsm", pass_protocol_fsm, true},
       {"sim-purity", pass_sim_purity, true},
-      {"atomic-discipline", pass_atomic_discipline, true},
-      {"release-acquire", pass_release_acquire, true},
+      {"atomics", pass_atomics, true},
       {"mixed-access", pass_mixed_access, true},
   };
   return passes;

@@ -152,17 +152,6 @@ std::size_t matching_brace(std::string_view code, std::size_t open) {
   return std::string_view::npos;
 }
 
-std::optional<std::string> call_string_arg(const SourceFile& f, std::size_t open) {
-  std::size_t p = skip_ws(f.raw, open + 1);
-  if (p >= f.raw.size() || f.raw[p] != '"') return std::nullopt;
-  std::string value;
-  for (++p; p < f.raw.size() && f.raw[p] != '"'; ++p) {
-    if (f.raw[p] == '\\' && p + 1 < f.raw.size()) ++p;
-    value.push_back(f.raw[p]);
-  }
-  return value;
-}
-
 std::vector<std::string> split_args(std::string_view args) {
   std::vector<std::string> out;
   int depth = 0;

@@ -16,8 +16,8 @@
 /// that the interprocedural passes — lock-flow, protocol-fsm, sim-purity —
 /// are built on. No libclang: the passes work on a byte-offset preserving
 /// "code view" of each file (comments and literals blanked out, so positions
-/// in the code view index the raw bytes too, which is how string literal
-/// arguments are recovered after a match).
+/// in the code view index the raw bytes too, which is how comment markers
+/// such as `// analyze:allow(...)` are read back after a match).
 
 namespace prema::analyze {
 
@@ -50,7 +50,7 @@ struct Index;
 /// Inputs shared by the passes. Empty text disables the dependent checks
 /// (fixtures provide their own hierarchy; a missing DESIGN.md skips the
 /// drift check; no protocol specs disables protocol-fsm; an empty atomics
-/// manifest disables the atomic-discipline and release-acquire passes).
+/// manifest disables the atomics pass).
 struct Options {
   std::string hierarchy_text;  ///< contents of tools/analyze/lock_hierarchy.txt
   std::string design_text;     ///< contents of DESIGN.md (drift check)
@@ -220,8 +220,8 @@ std::size_t find_ident(std::string_view hay, std::string_view needle,
                        bool require_call);
 
 /// Like find_ident but the identifier must be reached through member access
-/// (`x.name` / `x->name`) and be called — how handler registrations
-/// (`reg.add("...")`) and state-lock acquisitions (`n.lock_state()`) appear.
+/// (`x.name` / `x->name`) and be called — how state-lock acquisitions
+/// (`n.lock_state()`) and atomic operations (`flag_.load(...)`) appear.
 std::size_t find_member_call(std::string_view hay, std::string_view needle,
                              std::size_t from);
 
@@ -236,11 +236,6 @@ std::size_t matching_paren(std::string_view code, std::size_t open);
 
 /// Offset of the '}' matching the '{' at `open`; npos if unbalanced.
 std::size_t matching_brace(std::string_view code, std::size_t open);
-
-/// First string-literal argument of a call whose '(' sits at `open` in the
-/// code view: reads the quoted value back out of `raw` (the code view has it
-/// blanked). nullopt when the first argument is not a string literal.
-std::optional<std::string> call_string_arg(const SourceFile& f, std::size_t open);
 
 /// Split an annotation argument list at top-level commas.
 std::vector<std::string> split_args(std::string_view args);

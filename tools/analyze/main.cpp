@@ -6,11 +6,12 @@
 //   prema_analyze --list-passes
 //   prema_analyze --self-test
 //
-// Scans the tree rooted at <src-root> with every pass (see passes.hpp), one
-// after another on one thread, and reports every finding. `--pass NAME`
-// (repeatable) restricts the run to the named passes so CI and local runs can
-// bisect a regression. `--timings` prints per-pass host time to stderr. Exit
-// 0 when there are no findings, 1 when there are, 2 on usage/IO errors.
+// Scans the tree rooted at <src-root> with all eight passes (see passes.hpp;
+// --list-passes names them), one after another on one thread, and reports
+// every finding. `--pass NAME` (repeatable) restricts the run to the named
+// passes so CI and local runs can bisect a regression. `--timings` prints
+// per-pass host time to stderr. Exit 0 when there are no findings, 1 when
+// there are, 2 on usage/IO errors.
 //
 // Defaults, resolved relative to <src-root>'s parent (the repo root when
 // scanning src/): tools/analyze/lock_hierarchy.txt, DESIGN.md,

@@ -3,9 +3,11 @@
 //
 //  1. determinism — no wall clocks or ambient randomness in library code.
 //     std::chrono::{steady,system,high_resolution}_clock, std::random_device,
-//     and the C legacy rand()/srand()/time()/gettimeofday() are banned
-//     everywhere except the real-threads backend (thread_machine.*, which
-//     *is* the wall-clock domain) and the seeded RNG wrapper
+//     the C legacy rand()/srand()/time()/gettimeofday(), and the wall
+//     sources elapsed_s()/seconds_between()/time_since_epoch() (matched as
+//     member calls too: `machine_.elapsed_s()` is still a wall read) are
+//     banned everywhere except the real-threads backend (thread_machine.*,
+//     which *is* the wall-clock domain) and the seeded RNG wrapper
 //     (support/rng.hpp).
 //
 //  2. locking — no raw std:: synchronization primitives outside
@@ -19,6 +21,7 @@
 // The randomness family (owning util::Rng outside the sanctioned owners)
 // rides along with determinism as it always has.
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <iterator>
@@ -36,6 +39,7 @@ struct Rule {
   bool require_call;        ///< only flag when followed by '('
   const char* why;
   bool skip_if_ref = false;  ///< ignore when followed by '&' (a reference)
+  bool match_member = false;  ///< also flag `x.needle(` / `x->needle(` calls
 };
 
 constexpr Rule kRules[] = {
@@ -56,6 +60,15 @@ constexpr Rule kRules[] = {
      "wall clock in library code; use the machine's virtual clock"},
     {"determinism", "gettimeofday", true, true,
      "wall clock in library code; use the machine's virtual clock"},
+    {"determinism", "elapsed_s", true, true,
+     "wall clock in library code; use the machine's virtual clock",
+     /*skip_if_ref=*/false, /*match_member=*/true},
+    {"determinism", "seconds_between", true, true,
+     "wall clock in library code; use the machine's virtual clock",
+     /*skip_if_ref=*/false, /*match_member=*/true},
+    {"determinism", "time_since_epoch", true, true,
+     "wall clock in library code; use the machine's virtual clock",
+     /*skip_if_ref=*/false, /*match_member=*/true},
     // -- randomness ---------------------------------------------------------
     // Owning a util::Rng means owning a random stream, and every stream is
     // schedule-relevant state: only the emulator core, the thread backend,
@@ -133,8 +146,8 @@ bool allowed(std::string_view rule, std::string_view rel) {
 
 // ---------------------------------------------------------------------------
 // Self-test snippets: every rule must fire on a seeded violation and stay
-// silent on the idiomatic legal spelling of the same thing. Kept verbatim
-// from the original prema_lint; `prema_analyze --self-test` runs them.
+// silent on the idiomatic legal spelling of the same thing.
+// `prema_analyze --self-test` runs them.
 // ---------------------------------------------------------------------------
 
 struct Snippet {
@@ -148,6 +161,12 @@ constexpr Snippet kSnippets[] = {
     // Positives: each rule family catches its seeded violation.
     {"steady_clock in library code", "ilb/balancer.cpp",
      "auto t = std::chrono::steady_clock::now();", true},
+    {"wall elapsed_s() member call", "mol/mixer.cpp",
+     "double d = machine_.elapsed_s() + n->now();", true},
+    {"wall seconds_between() call", "prema/runtime.cpp",
+     "double d = seconds_between(t0, t1);", true},
+    {"time_since_epoch() member call", "ilb/sfc.cpp",
+     "auto e = tp.time_since_epoch().count();", true},
     {"random_device in library code", "mol/mol.cpp",
      "std::random_device rd; auto s = rd();", true},
     {"bare rand() call", "sim/event_queue.cpp", "int r = rand();", true},
@@ -169,6 +188,10 @@ constexpr Snippet kSnippets[] = {
     // Negatives: legal idioms that a naive substring scan would flag.
     {"steady_clock allowed in the thread backend", "dmcs/thread_machine.cpp",
      "using Clock = std::chrono::steady_clock;", false},
+    {"elapsed_s() allowed in the thread backend", "dmcs/thread_machine.cpp",
+     "double ThreadNode::now() const { return machine_.elapsed_s(); }", false},
+    {"a variable named elapsed_s is not a wall read", "service/ledger.cpp",
+     "double elapsed_s = t - t0;", false},
     {"raw mutex allowed in the wrapper header", "support/thread_annotations.hpp",
      "std::mutex mu_; std::condition_variable cv_;", false},
     {"fprintf allowed in CLI entry points", "trace/trace_check_main.cpp",
@@ -213,8 +236,9 @@ void lint_content(const std::string& rel, std::string_view raw, Findings& out) {
     if (allowed(r.name, rel)) continue;
     std::size_t from = 0;
     while (true) {
-      const std::size_t pos =
+      std::size_t pos =
           find_ident(code, r.needle, from, r.allow_scope_prefix, r.require_call);
+      if (r.match_member) pos = std::min(pos, find_member_call(code, r.needle, from));
       if (pos == std::string_view::npos) break;
       from = pos + 1;
       if (r.skip_if_ref) {

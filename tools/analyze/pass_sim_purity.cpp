@@ -1,22 +1,17 @@
 // Sim-domain purity analysis — the static counterpart of the determinism
 // tests. The SimMachine event loop replays identically given a seed; that
 // only holds if nothing on a sim-reachable path consults state outside the
-// simulation: wall clocks, ambient randomness, or hash-ordered iteration
-// that feeds ordered output (message emission, trace events, worklists).
+// simulation. Wall clocks and ambient randomness are the conventions pass's
+// `determinism` rule, which covers every file this pass does; what is left
+// is hash-ordered iteration that feeds ordered output (message emission,
+// trace events, worklists).
 //
-// Domain classification: every function is sim-reachable except those whose
-// file belongs to a wall-clock domain by design — the threaded machine
-// (dmcs/thread_machine*), the live service harness (service/), portable
-// support utilities (support/, bench_support/) — plus the forward
-// call-graph closure from the SimMachine files themselves, which pulls
-// sim-only helpers back in even if they live elsewhere. Handlers shared by
-// both machines (mol, prema, ilb) are in the domain: they must be pure to
-// keep the simulator honest.
+// Domain: every function outside the files that belong to a wall-clock
+// domain by design — the threaded machine (dmcs/thread_machine*), the live
+// service harness (service/), portable support utilities (support/,
+// bench_support/). Handlers shared by both machines (mol, prema, ilb) are in
+// the domain: they must be pure to keep the simulator honest.
 //
-//  sim-purity-wallclock  reads steady_clock / system_clock /
-//                        high_resolution_clock on a sim-reachable path.
-//  sim-purity-random     uses std::random_device, rand() or srand() —
-//                        randomness not owned by the seeded simulation RNG.
 //  sim-purity-unordered  range-for over an unordered_map/unordered_set
 //                        field: hash-order iteration feeding whatever the
 //                        loop body emits.
@@ -100,95 +95,17 @@ std::vector<std::string> range_chain(std::string_view expr) {
 }  // namespace
 
 void pass_sim_purity(const Tree& tree, const Options& opts, Findings& out) {
-  (void)opts;
   std::optional<Index> local;
   const Index& idx =
       opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
 
-  // Sim domain: everything outside the excluded wall-clock files, plus the
-  // forward closure from the SimMachine files over resolved call edges.
-  std::vector<char> in_domain(idx.funcs.size(), 0);
-  for (std::size_t fi = 0; fi < idx.funcs.size(); ++fi) {
-    const SourceFile& f =
-        idx.tree->files[static_cast<std::size_t>(idx.funcs[fi].file)];
-    if (f.rel.find("sim_machine") != std::string::npos) {
-      in_domain[fi] = 1;
-    } else if (!excluded_file(f.rel)) {
-      in_domain[fi] = 1;
-    }
-  }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (const CallSite& call : idx.calls) {
-      if (call.callee < 0) continue;
-      const std::size_t callee = static_cast<std::size_t>(call.callee);
-      const SourceFile& cf =
-          idx.tree->files[static_cast<std::size_t>(idx.funcs[callee].file)];
-      // The closure never drags excluded files back in: a sim function may
-      // legitimately share a *caller* with threaded code, but a function
-      // living in a wall-clock file stays out of the domain.
-      if (excluded_file(cf.rel)) continue;
-      if (in_domain[static_cast<std::size_t>(call.caller)] != 0 &&
-          in_domain[callee] == 0) {
-        in_domain[callee] = 1;
-        changed = true;
-      }
-    }
-  }
-
-  std::set<std::string> reported;
-  auto report = [&](const char* rule, const SourceFile& f, std::size_t pos,
-                    const std::string& key, const std::string& message) {
-    if (allow_comment(f, pos, rule)) return;
-    if (!reported.insert(std::string(rule) + "|" + key).second) return;
-    out.push_back({rule, f.rel, line_of(f.code, pos), message});
-  };
-
-  for (std::size_t fi = 0; fi < idx.funcs.size(); ++fi) {
-    if (in_domain[fi] == 0) continue;
-    const FunctionDef& fn = idx.funcs[fi];
+  constexpr const char* kRule = "sim-purity-unordered";
+  std::set<std::string> reported;  // one finding per (function, field)
+  for (const FunctionDef& fn : idx.funcs) {
     const SourceFile& f = idx.tree->files[static_cast<std::size_t>(fn.file)];
+    if (excluded_file(f.rel)) continue;
     const std::string_view code = f.code;
 
-    // -- wall clock ---------------------------------------------------------
-    for (const char* clock :
-         {"steady_clock", "system_clock", "high_resolution_clock"}) {
-      std::size_t from = fn.body_begin;
-      while (true) {
-        const std::size_t pos = find_ident(code, clock, from, true, false);
-        if (pos == std::string_view::npos || pos >= fn.body_end) break;
-        from = pos + 1;
-        report("sim-purity-wallclock", f, pos, fn.qual + "|" + clock,
-               "'" + fn.qual + "' reads '" + clock +
-                   "' on a sim-reachable path (simulated time must come from "
-                   "the event engine)");
-      }
-    }
-
-    // -- unowned randomness -------------------------------------------------
-    {
-      const std::size_t pos =
-          find_ident(code, "random_device", fn.body_begin, true, false);
-      if (pos != std::string_view::npos && pos < fn.body_end) {
-        report("sim-purity-random", f, pos, fn.qual + "|random_device",
-               "'" + fn.qual +
-                   "' constructs std::random_device on a sim-reachable path "
-                   "(randomness must come from the seeded run RNG)");
-      }
-    }
-    for (const char* call : {"rand", "srand"}) {
-      const std::size_t pos =
-          find_ident(code, call, fn.body_begin, true, true);
-      if (pos != std::string_view::npos && pos < fn.body_end) {
-        report("sim-purity-random", f, pos,
-               fn.qual + "|" + std::string(call),
-               "'" + fn.qual + "' calls '" + call +
-                   "()' on a sim-reachable path (randomness must come from "
-                   "the seeded run RNG)");
-      }
-    }
-
-    // -- hash-order iteration -----------------------------------------------
     std::size_t from = fn.body_begin;
     while (true) {
       const std::size_t pos = find_ident(code, "for", from, false, false);
@@ -225,12 +142,13 @@ void pass_sim_purity(const Tree& tree, const Options& opts, Findings& out) {
       const FieldDecl* field = idx.find_field(hint, fn.file, chain.back());
       if (field == nullptr) continue;
       if (field->type.find("unordered_") == std::string::npos) continue;
-      report("sim-purity-unordered", f, pos,
-             fn.qual + "|" + field->cls + "::" + field->name,
-             "'" + fn.qual + "' iterates unordered container '" + field->cls +
-                 "::" + field->name +
-                 "' on a sim-reachable path (hash order is not deterministic "
-                 "across platforms)");
+      if (allow_comment(f, pos, kRule)) continue;
+      const std::string member = field->cls + "::" + field->name;
+      if (!reported.insert(fn.qual + "|" + member).second) continue;
+      out.push_back({kRule, f.rel, line_of(code, pos),
+                     "'" + fn.qual + "' iterates unordered container '" + member +
+                         "' on a sim-reachable path (hash order is not "
+                         "deterministic across platforms)"});
     }
   }
 }

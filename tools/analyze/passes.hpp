@@ -13,20 +13,16 @@
 /// synthetic trees.
 ///
 ///   conventions    the migrated prema_lint rule families (determinism,
-///                  randomness, locking, logging)
+///                  randomness, locking, logging); determinism is the one
+///                  check for wall clocks and ambient randomness outside
+///                  the thread backend
 ///   lock-order     acquisition graph vs tools/analyze/lock_hierarchy.txt:
 ///                  lexical nesting + PREMA_REQUIRES edges must point
 ///                  strictly down the hierarchy; cycles are reported; every
 ///                  declared util::Mutex must be listed and carry at least
 ///                  one thread-safety annotation (GUARDED_BY coverage)
-///   protocol       the PREMA_WIRE_HANDLERS manifest (dmcs/message.hpp) vs
-///                  actual registry .add("…") registrations vs the trace
-///                  label table (trace/wire_names.hpp)
 ///   serialization  `// wire:<name> <pack|unpack> <var>` marked field
 ///                  sequences must agree across pack and unpack sites
-///   time-domain    statements mixing wall-clock values (steady_clock,
-///                  elapsed_s, …) with virtual-time values (now(), SimTime)
-///                  outside dmcs/thread_machine.*
 ///   lock-flow      interprocedural: lock-sets propagated over the call
 ///                  graph; noblock locks held across blocking operations,
 ///                  PREMA_REQUIRES callees reached without the lock,
@@ -35,19 +31,18 @@
 ///                  (tools/analyze/protocols/*.txt) vs the handlers that
 ///                  mutate protocol state: undeclared transitions, writes
 ///                  outside a transition's grant, missing bound trace events
-///   sim-purity     functions sim-reachable from the SimMachine event loop
-///                  must not read wall clocks, construct unowned randomness,
-///                  or iterate unordered containers
-///   atomic-discipline  every std::atomic declaration must be registered in
+///   sim-purity     functions outside the wall-clock domains must not
+///                  iterate unordered containers
+///   atomics        every std::atomic declaration must be registered in
 ///                  tools/analyze/atomics.txt with a role and an allowed
 ///                  memory-order set; flags unregistered atomics, implicit
 ///                  seq_cst operations, RMWs on non-counter roles, orders
 ///                  outside the allowed set, atomics also GUARDED_BY a
-///                  mutex, and stale manifest entries
-///   release-acquire  every explicit release store of a manifest field must
-///                  pair with at least one load on the acquire side, and
-///                  every explicit acquire load with a store on the release
-///                  side (direct evidence only, like lock-flow)
+///                  mutex and stale manifest entries; then pairs every
+///                  explicit release store of a manifest field with a load
+///                  on the acquire side, and every explicit acquire load
+///                  with a store on the release side (direct evidence only,
+///                  like lock-flow)
 ///   mixed-access   fields of classes reachable from the ThreadMachine
 ///                  worker/poller closure with locked plain writes but
 ///                  reads carrying no direct lock evidence
@@ -58,15 +53,11 @@ using Findings = std::vector<Finding>;
 
 void pass_conventions(const Tree& tree, const Options& opts, Findings& out);
 void pass_lock_order(const Tree& tree, const Options& opts, Findings& out);
-void pass_protocol(const Tree& tree, const Options& opts, Findings& out);
 void pass_serialization(const Tree& tree, const Options& opts, Findings& out);
-void pass_time_domain(const Tree& tree, const Options& opts, Findings& out);
 void pass_lock_flow(const Tree& tree, const Options& opts, Findings& out);
 void pass_protocol_fsm(const Tree& tree, const Options& opts, Findings& out);
 void pass_sim_purity(const Tree& tree, const Options& opts, Findings& out);
-void pass_atomic_discipline(const Tree& tree, const Options& opts,
-                            Findings& out);
-void pass_release_acquire(const Tree& tree, const Options& opts, Findings& out);
+void pass_atomics(const Tree& tree, const Options& opts, Findings& out);
 void pass_mixed_access(const Tree& tree, const Options& opts, Findings& out);
 
 using PassFn = void (*)(const Tree&, const Options&, Findings&);

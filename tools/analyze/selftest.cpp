@@ -4,6 +4,7 @@
 // the on-disk fixtures under tools/analyze/fixtures/ — the fixtures exercise
 // the CLI end to end, these exercise the passes as library code.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <set>
@@ -123,60 +124,6 @@ std::vector<TreeCase> tree_cases() {
                    "zeta zeta_mu\n", "The design prose names no such lock.",
                    "lock-hierarchy-drift"});
 
-  // -- protocol ------------------------------------------------------------
-  const char* kManifest =
-      "#define PREMA_WIRE_HANDLERS(X) \\\n"
-      "  X(kAOne, \"a.one\")          \\\n"
-      "  X(kATwo, \"a.two\")\n";
-  const char* kLabels =
-      "#define PREMA_WIRE_LABELS(X) \\\n"
-      "  X(\"a.one\", \"A one\")     \\\n"
-      "  X(\"a.two\", \"A two\")\n";
-  cases.push_back({"protocol: complete manifest is clean", pass_protocol,
-                   {{"dmcs/message.hpp", kManifest},
-                    {"trace/wire_names.hpp", kLabels},
-                    {"dmcs/reg.cpp",
-                     "void f(R& r) { r.add(\"a.one\", h); r.add(\"a.two\", h); }\n"}},
-                   "", "", nullptr});
-  cases.push_back({"protocol: manifest entry never registered", pass_protocol,
-                   {{"dmcs/message.hpp", kManifest},
-                    {"trace/wire_names.hpp", kLabels},
-                    {"dmcs/reg.cpp", "void f(R& r) { r.add(\"a.one\", h); }\n"}},
-                   "", "", "protocol-unregistered"});
-  cases.push_back({"protocol: registration missing from manifest", pass_protocol,
-                   {{"dmcs/message.hpp", kManifest},
-                    {"trace/wire_names.hpp", kLabels},
-                    {"dmcs/reg.cpp",
-                     "void f(R& r) { r.add(\"a.one\", h); r.add(\"a.two\", h); "
-                     "r.add(\"a.three\", h); }\n"}},
-                   "", "", "protocol-unknown-handler"});
-  cases.push_back({"protocol: double registration", pass_protocol,
-                   {{"dmcs/message.hpp", kManifest},
-                    {"trace/wire_names.hpp", kLabels},
-                    {"dmcs/reg.cpp",
-                     "void f(R& r) { r.add(\"a.one\", h); r.add(\"a.two\", h); "
-                     "r.add(\"a.one\", h); }\n"}},
-                   "", "", "protocol-duplicate"});
-  cases.push_back({"protocol: manifest entry without a trace label",
-                   pass_protocol,
-                   {{"dmcs/message.hpp", kManifest},
-                    {"trace/wire_names.hpp",
-                     "#define PREMA_WIRE_LABELS(X) \\\n"
-                     "  X(\"a.one\", \"A one\")\n"},
-                    {"dmcs/reg.cpp",
-                     "void f(R& r) { r.add(\"a.one\", h); r.add(\"a.two\", h); }\n"}},
-                   "", "", "protocol-untraced"});
-  cases.push_back({"protocol: label for a dropped handler", pass_protocol,
-                   {{"dmcs/message.hpp", kManifest},
-                    {"trace/wire_names.hpp",
-                     "#define PREMA_WIRE_LABELS(X) \\\n"
-                     "  X(\"a.one\", \"A one\")     \\\n"
-                     "  X(\"a.two\", \"A two\")     \\\n"
-                     "  X(\"a.gone\", \"A gone\")\n"},
-                    {"dmcs/reg.cpp",
-                     "void f(R& r) { r.add(\"a.one\", h); r.add(\"a.two\", h); }\n"}},
-                   "", "", "protocol-stale-label"});
-
   // -- serialization -------------------------------------------------------
   const char* kPack =
       "void send(W& w) {\n"
@@ -210,31 +157,6 @@ std::vector<TreeCase> tree_cases() {
   cases.push_back({"serialization: malformed marker", pass_serialization,
                    {{"dmcs/a.cpp", "// wire:oops\nvoid f() {}\n"}},
                    "", "", "serialization-unpaired"});
-
-  // -- time-domain ---------------------------------------------------------
-  cases.push_back({"time-domain: wall value mixed into virtual arithmetic",
-                   pass_time_domain,
-                   {{"mol/x.cpp",
-                     "void f(N* n) { double d = machine_.elapsed_s() + n->now(); }\n"}},
-                   "", "", "time-domain"});
-  cases.push_back({"time-domain: taint flows through an assignment",
-                   pass_time_domain,
-                   {{"mol/x.cpp",
-                     "void f(N* n) {\n"
-                     "  double w = machine_.elapsed_s();\n"
-                     "  double q = w + n->now();\n"
-                     "}\n"}},
-                   "", "", "time-domain"});
-  cases.push_back({"time-domain: thread backend is the wall domain",
-                   pass_time_domain,
-                   {{"dmcs/thread_machine.cpp",
-                     "void f(N* n) { double d = elapsed_s() + n->now(); }\n"}},
-                   "", "", nullptr});
-  cases.push_back({"time-domain: pure virtual-time arithmetic is clean",
-                   pass_time_domain,
-                   {{"mol/x.cpp",
-                     "void f(N* n) { double q = n->now() + 1.0; }\n"}},
-                   "", "", nullptr});
 
   // -- lock-flow -----------------------------------------------------------
   const char* kNb = "t t_mu noblock\n";
@@ -377,21 +299,6 @@ std::vector<TreeCase> tree_cases() {
                    "", "", "protocol-fsm-spec", {{"demo", "transition step\n"}}});
 
   // -- sim-purity ----------------------------------------------------------
-  cases.push_back({"sim-purity: wall clock inside the sim domain",
-                   pass_sim_purity,
-                   {{"ilb/x.cpp",
-                     "void f() { auto t = std::chrono::steady_clock::now(); }\n"}},
-                   "", "", "sim-purity-wallclock"});
-  cases.push_back({"sim-purity: thread backend may read the wall clock",
-                   pass_sim_purity,
-                   {{"dmcs/thread_machine.cpp",
-                     "void f() { auto t = std::chrono::steady_clock::now(); }\n"}},
-                   "", "", nullptr});
-  cases.push_back({"sim-purity: unseeded randomness in the sim domain",
-                   pass_sim_purity,
-                   {{"mol/x.cpp",
-                     "int f() { std::random_device rd; return rd(); }\n"}},
-                   "", "", "sim-purity-random"});
   cases.push_back({"sim-purity: iteration over an unordered container",
                    pass_sim_purity,
                    {{"ilb/x.hpp",
@@ -402,6 +309,16 @@ std::vector<TreeCase> tree_cases() {
                      "  std::unordered_map<int, int> m_;\n"
                      "};\n"}},
                    "", "", "sim-purity-unordered"});
+  cases.push_back({"sim-purity: thread backend is outside the sim domain",
+                   pass_sim_purity,
+                   {{"dmcs/thread_machine.hpp",
+                     "class C {\n"
+                     " public:\n"
+                     "  void f() { for (const auto& kv : m_) { use(kv); } }\n"
+                     " private:\n"
+                     "  std::unordered_map<int, int> m_;\n"
+                     "};\n"}},
+                   "", "", nullptr});
   cases.push_back({"sim-purity: ordered container iteration is deterministic",
                    pass_sim_purity,
                    {{"ilb/x.hpp",
@@ -413,7 +330,7 @@ std::vector<TreeCase> tree_cases() {
                      "};\n"}},
                    "", "", nullptr});
 
-  // -- atomic-discipline ----------------------------------------------------
+  // -- atomics: discipline -------------------------------------------------
   const char* kGate =
       "class Gate {\n"
       " public:\n"
@@ -426,25 +343,25 @@ std::vector<TreeCase> tree_cases() {
       "};\n";
   const char* kGateManifest =
       "flag_ role=flag orders=release,acquire class=Gate\n";
-  cases.push_back({"atomic-discipline: registered flag is clean",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: registered flag, paired release/acquire, is clean",
+                   pass_atomics,
                    {{"dmcs/gate.hpp", kGate}},
                    "", "", nullptr, {}, kGateManifest});
-  cases.push_back({"atomic-discipline: atomic missing from the manifest",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: atomic missing from the manifest",
+                   pass_atomics,
                    {{"dmcs/gate.hpp", kGate}},
                    "", "", "atomic-unregistered", {},
                    "# reviewed: nothing registered yet\n"});
-  cases.push_back({"atomic-discipline: allow-comment acknowledges a decl",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: allow-comment acknowledges a decl",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      "  // analyze:allow(atomic-unregistered)\n"
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", nullptr, {}, "# reviewed: nothing registered yet\n"});
-  cases.push_back({"atomic-discipline: store with no order is implicit seq_cst",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: store with no order is implicit seq_cst",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -453,8 +370,8 @@ std::vector<TreeCase> tree_cases() {
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", "atomic-implicit-order", {}, kGateManifest});
-  cases.push_back({"atomic-discipline: plain `=` routes through seq_cst store",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: plain `=` routes through seq_cst store",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -463,8 +380,8 @@ std::vector<TreeCase> tree_cases() {
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", "atomic-implicit-order", {}, kGateManifest});
-  cases.push_back({"atomic-discipline: order outside the allowed set",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: order outside the allowed set",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -475,8 +392,8 @@ std::vector<TreeCase> tree_cases() {
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", "atomic-order", {}, kGateManifest});
-  cases.push_back({"atomic-discipline: RMW on a flag role",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: RMW on a flag role",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -497,13 +414,13 @@ std::vector<TreeCase> tree_cases() {
       " private:\n"
       "  std::atomic<long> n_{0};\n"
       "};\n";
-  cases.push_back({"atomic-discipline: counter may use operator and RMW forms",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: counter may use operator and RMW forms",
+                   pass_atomics,
                    {{"dmcs/tally.hpp", kTally}},
                    "", "", nullptr, {},
                    "n_ role=counter orders=relaxed class=Tally\n"});
-  cases.push_back({"atomic-discipline: atomic also GUARDED_BY a mutex",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: atomic also GUARDED_BY a mutex",
+                   pass_atomics,
                    {{"dmcs/both.hpp",
                      "class Both {\n"
                      " private:\n"
@@ -512,24 +429,20 @@ std::vector<TreeCase> tree_cases() {
                      "};\n"}},
                    "", "", "atomic-guarded", {},
                    "n_ role=counter orders=seq_cst class=Both\n"});
-  cases.push_back({"atomic-discipline: manifest entry matching no declaration",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: manifest entry matching no declaration",
+                   pass_atomics,
                    {{"dmcs/x.cpp", "void f() { touch(); }\n"}},
                    "", "", "atomic-stale", {},
                    "ghost_ role=flag orders=seq_cst\n"});
-  cases.push_back({"atomic-discipline: malformed manifest surfaces as finding",
-                   pass_atomic_discipline,
+  cases.push_back({"atomics: malformed manifest surfaces as finding",
+                   pass_atomics,
                    {{"dmcs/gate.hpp", kGate}},
                    "", "", "atomic-manifest", {},
                    "flag_ role=banana orders=seq_cst class=Gate\n"});
 
-  // -- release-acquire ------------------------------------------------------
-  cases.push_back({"release-acquire: store + acquire load pair up",
-                   pass_release_acquire,
-                   {{"dmcs/gate.hpp", kGate}},
-                   "", "", nullptr, {}, kGateManifest});
-  cases.push_back({"release-acquire: release store nobody loads",
-                   pass_release_acquire,
+  // -- atomics: release-acquire pairing ------------------------------------
+  cases.push_back({"atomics: release store nobody loads",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -538,8 +451,8 @@ std::vector<TreeCase> tree_cases() {
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", "release-acquire-unpaired-store", {}, kGateManifest});
-  cases.push_back({"release-acquire: acquire load nobody stores",
-                   pass_release_acquire,
+  cases.push_back({"atomics: acquire load nobody stores",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -550,8 +463,8 @@ std::vector<TreeCase> tree_cases() {
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", "release-acquire-unpaired-load", {}, kGateManifest});
-  cases.push_back({"release-acquire: an RMW counts as the acquire side",
-                   pass_release_acquire,
+  cases.push_back({"atomics: an RMW counts as the acquire side",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
@@ -563,13 +476,14 @@ std::vector<TreeCase> tree_cases() {
                      "  std::atomic<bool> flag_{false};\n"
                      "};\n"}},
                    "", "", nullptr, {},
-                   "flag_ role=flag orders=release,acquire,acq_rel class=Gate\n"});
-  cases.push_back({"release-acquire: implicit seq_cst load still observes",
-                   pass_release_acquire,
+                   "flag_ role=seqcount orders=release,acquire,acq_rel class=Gate\n"});
+  cases.push_back({"atomics: implicit seq_cst load still observes",
+                   pass_atomics,
                    {{"dmcs/gate.hpp",
                      "class Gate {\n"
                      " public:\n"
                      "  void open() { flag_.store(true, std::memory_order_release); }\n"
+                     "  // analyze:allow(atomic-implicit-order)\n"
                      "  bool peek() const { return flag_.load(); }\n"
                      " private:\n"
                      "  std::atomic<bool> flag_{false};\n"
@@ -912,7 +826,8 @@ int perf_budget_check(std::size_t& cases_out) {
 }
 
 /// The one driver: run_all_passes reports in (pass registry, file) order and
-/// its --pass filter returns exactly the selected passes' findings.
+/// its --pass filter returns exactly the selected passes' findings, parse
+/// errors included.
 int driver_checks(std::size_t& cases_out) {
   ++cases_out;
   int failures = 0;
@@ -931,14 +846,23 @@ int driver_checks(std::size_t& cases_out) {
     return true;
   };
 
-  // Every file fires one conventions finding (determinism) and one whole-tree
-  // sim-purity finding (wallclock), so both ordering keys have work to do.
+  // Every file fires one conventions finding (determinism) and one
+  // sim-purity finding (unordered iteration), so both ordering keys have
+  // work to do.
   Tree tree;
   for (int i = 0; i < 12; ++i) {
+    const std::string n = std::to_string(i);
     tree.files.push_back(make_file(
-        "ilb/f" + std::to_string(i) + ".cpp",
-        "void f" + std::to_string(i) + "() {\n" +
-            "  auto t = std::chrono::steady_clock::now();\n}\n"));
+        "ilb/f" + n + ".hpp",
+        "class C" + n + " {\n"
+        " public:\n"
+        "  void f() {\n"
+        "    auto t = std::chrono::steady_clock::now();\n"
+        "    for (const auto& kv : m_) use(kv, t);\n"
+        "  }\n"
+        " private:\n"
+        "  std::unordered_map<int, int> m_;\n"
+        "};\n"));
   }
   const Options opts;
   Findings conventions, sim_purity;
@@ -970,6 +894,20 @@ int driver_checks(std::size_t& cases_out) {
   run_all_passes(tree, opts, filtered, {"sim-purity"});
   if (!same(filtered, sim_purity)) {
     fail("--pass sim-purity did not return exactly the sim-purity findings");
+  }
+
+  // A run restricted to the atomics pass still reports a malformed manifest.
+  ++cases_out;
+  Tree gate;
+  gate.files.push_back(
+      make_file("dmcs/gate.hpp", "class Gate {\n  std::atomic<bool> flag_{false};\n};\n"));
+  Options bad_manifest;
+  bad_manifest.atomics_text = "flag_ role=banana orders=seq_cst class=Gate\n";
+  Findings atomics;
+  run_all_passes(gate, bad_manifest, atomics, {"atomics"});
+  if (std::none_of(atomics.begin(), atomics.end(),
+                   [](const Finding& f) { return f.rule == "atomic-manifest"; })) {
+    fail("--pass atomics dropped the atomic-manifest finding");
   }
   return failures;
 }
