@@ -246,17 +246,20 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
   }
   rep.audit_ok = rep.executed == total &&
                  rep.resident == static_cast<std::size_t>(total) &&
-                 rep.in_transit == 0;
+                 rep.in_transit == 0 && rt.termination_detected();
   if (machine.fault_plan() != nullptr) {
     // Delivery-ledger checks: under any fault plan the run must still execute
-    // every unit exactly once and end with every mobile object resident at
-    // exactly one processor and no migration handoff left open.
+    // every unit exactly once, end with every mobile object resident at
+    // exactly one processor and no migration handoff left open, and end by
+    // detecting termination.
     PREMA_CHECK_MSG(rep.executed == total,
                     "delivery ledger: units executed != units created");
     PREMA_CHECK_MSG(rep.resident == static_cast<std::size_t>(total),
                     "delivery ledger: mobile objects lost or cloned");
     PREMA_CHECK_MSG(rep.in_transit == 0,
                     "delivery ledger: migration handoffs left open");
+    PREMA_CHECK_MSG(rt.termination_detected(),
+                    "delivery ledger: termination not detected");
   }
   finalize(rep, cfg);
   maybe_export_trace(machine, cfg, rep);

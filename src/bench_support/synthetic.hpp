@@ -113,7 +113,8 @@ struct RunReport {
 
   /// Conservation audit (PREMA systems): every unit executed exactly once,
   /// every mobile object resident at exactly one processor, no migration
-  /// handoff left open. Checked fatally under fault plans; always reported.
+  /// handoff left open, and the run ended by detecting termination. Checked
+  /// fatally under fault plans; always reported.
   std::size_t resident = 0;
   std::size_t in_transit = 0;
   bool audit_ok = false;

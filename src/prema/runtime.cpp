@@ -21,11 +21,39 @@ constexpr std::uint8_t kTermProbe = 2;
 constexpr std::uint8_t kTermAck = 3;
 constexpr std::uint8_t kTermDone = 4;
 constexpr std::uint8_t kTermRetry = 5;
+constexpr std::uint8_t kTermBlockAck = 6;
+constexpr std::uint8_t kTermForward = 7;
 
 /// Coordinator re-probe period when a wave fails under reliable transport
 /// (longer than the transport's initial RTO so a retransmit round can finish
 /// before the next wave looks).
 constexpr double kTermRetryDelayS = 5e-3;
+
+/// Combining tree: ranks form blocks of kTermBlock consecutive ranks, each led
+/// by its lowest rank. Reports go to the leader; rank 0 (block 0's leader)
+/// exchanges messages only with its own block and the other leaders. With
+/// P <= kTermBlock rank 0 is the only leader and the tree is a star.
+constexpr int kTermBlock = 128;
+
+/// A leader forwards its block's report sums to rank 0 at most once per this
+/// period (the default polling interval).
+constexpr double kTermForwardDelayS = 10e-3;
+
+ProcId leader_of(ProcId p) { return p - p % kTermBlock; }
+bool is_leader(ProcId p) { return p % kTermBlock == 0; }
+int block_size(ProcId leader, int nprocs) {
+  return std::min(kTermBlock, nprocs - leader);
+}
+
+/// A rank's idle report to its leader, or a leader's block sums to rank 0.
+std::vector<std::uint8_t> report_payload(std::int64_t sent, std::int64_t recv) {
+  ByteWriter w;
+  w.put<std::uint8_t>(kTermReport);
+  // wire:prema.term.report pack w
+  w.put<std::int64_t>(sent);
+  w.put<std::int64_t>(recv);
+  return w.take();
+}
 
 }  // namespace
 
@@ -59,6 +87,9 @@ struct Runtime::NodeRt {
   std::int64_t reported_recv PREMA_GUARDED_BY(node->state_mutex()) = -1;
   /// Activity since the last idle report.
   bool did_work PREMA_GUARDED_BY(node->state_mutex()) = true;
+  /// Block leaders only (null elsewhere): the tally of the block's reports
+  /// and of its members' acks to the current wave.
+  std::unique_ptr<TermCoordinator> block PREMA_GUARDED_BY(node->state_mutex());
 
   /// Service mode only: this rank's arrival stream (null otherwise). Created
   /// in run_service before the workers start; the stream state is advanced
@@ -93,29 +124,35 @@ struct Runtime::NodeRt {
   }
 };
 
-/// Rank-0 state for the counting-wave quiescence detector.
+/// Counting-wave state of one coordinator, used at both levels of the tree:
+/// rank 0 keeps one over the blocks (Runtime::term_), and every leader keeps
+/// one over its block's members (NodeRt::block).
 struct Runtime::TermCoordinator {
-  explicit TermCoordinator(int nprocs)
-      : sent(static_cast<std::size_t>(nprocs), -1),
-        recv(static_cast<std::size_t>(nprocs), -1) {}
+  explicit TermCoordinator(int slots)
+      : sent(static_cast<std::size_t>(slots), -1),
+        recv(static_cast<std::size_t>(slots), -1) {}
 
-  /// Each rank's last idle report (-1: never reported). Written only by
+  /// Each slot's last report (-1: never reported): a member's idle report at
+  /// a leader, a block's forwarded sums at rank 0. Written only by
   /// term_record_report, which keeps the three running tallies below in step
-  /// with them, so the wave check is O(1) rather than a pass over all ranks.
+  /// with them, so the wave check is O(1) rather than a pass over all slots.
   std::vector<std::int64_t> sent;
   std::vector<std::int64_t> recv;
-  int reported = 0;           ///< ranks whose slot is >= 0
-  std::int64_t sent_sum = 0;  ///< sum of max(0, sent[p])
-  std::int64_t recv_sum = 0;  ///< sum of max(0, recv[p])
+  int reported = 0;           ///< slots that are >= 0
+  std::int64_t sent_sum = 0;  ///< sum of max(0, sent[i])
+  std::int64_t recv_sum = 0;  ///< sum of max(0, recv[i])
 
+  /// The wave being tallied: rank 0's global wave, or a leader's fan-in of
+  /// its members' acks for that wave.
   std::uint64_t wave = 0;
   bool wave_active = false;
-  bool retry_armed = false;
-  int acks = 0;
+  int acks = 0;  ///< ranks covered by the acks tallied so far
   bool all_idle = true;
   std::uint64_t ack_sent_sum = 0;
   std::uint64_t ack_recv_sum = 0;
-  std::uint64_t snap_sent_sum = 0;
+  std::uint64_t snap_sent_sum = 0;  ///< rank 0: the wave's report-sum anchor
+  bool retry_armed = false;         ///< rank 0: a re-probe timer is pending
+  bool forward_armed = false;       ///< leader: a forward timer is pending
 };
 
 class Runtime::NodeProgram final : public dmcs::Program {
@@ -195,16 +232,21 @@ Runtime::Runtime(dmcs::Machine& machine, RuntimeConfig cfg)
   // Construction is single-threaded (no workers yet); the assert only tells
   // the thread-safety analysis so.
   assert_coord_held();
-  term_ = std::make_unique<TermCoordinator>(machine_.nprocs());
+  const int nprocs = machine_.nprocs();
+  term_ = std::make_unique<TermCoordinator>((nprocs + kTermBlock - 1) / kTermBlock);
 
-  nodes_.reserve(static_cast<std::size_t>(machine_.nprocs()));
-  for (ProcId p = 0; p < machine_.nprocs(); ++p) {
+  nodes_.reserve(static_cast<std::size_t>(nprocs));
+  for (ProcId p = 0; p < nprocs; ++p) {
     auto node_rt = std::make_unique<NodeRt>();
     node_rt->node = &machine_.node(p);
     node_rt->mol = &mol_layer_->at(p);
     node_rt->ctx.runtime_ = this;
     node_rt->ctx.node_ = node_rt->node;
     node_rt->ctx.mol_ = node_rt->mol;
+    if (is_leader(p)) {
+      node_rt->assert_state_held();  // single-threaded, as above
+      node_rt->block = std::make_unique<TermCoordinator>(block_size(p, nprocs));
+    }
     node_rt->balancer = std::make_unique<ilb::Balancer>(
         *node_rt->node, *node_rt->mol, node_rt->sched,
         cfg_.policy_factory ? cfg_.policy_factory() : ilb::make_policy(cfg_.policy),
@@ -412,11 +454,18 @@ void Runtime::service_on_epoch(NodeRt& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Quiescence detection: counting waves (Mattern). Nodes report their
-// (sent, received) message counts — net of detector traffic — whenever they
-// go idle after doing something. When rank 0 sees balanced sums it probes
-// everyone; if every ack is idle with the same balanced sums, no application
-// message can be in flight (counts are monotone), and termination is certain.
+// Quiescence detection: counting waves (Mattern), combined through a two-level
+// tree. Nodes report their (sent, received) message counts — net of detector
+// traffic — to their block leader whenever they go idle after doing
+// something; once its whole block has reported, a leader forwards the block's
+// sums to rank 0, coalesced by a timer. When rank 0 sees balanced sums it
+// probes the leaders and its own block; each leader probes its members and
+// returns one summed ack. If every rank is idle with the same balanced sums,
+// no application message can be in flight (counts are monotone), and
+// termination is certain. Every count in a forwarded sum was observed before
+// the wave that compares it began, and every count in a block ack after that
+// member's probe arrived, so the two-observation argument is the same as for
+// a star.
 // ---------------------------------------------------------------------------
 
 void Runtime::term_send(ProcId from, ProcId to, std::vector<std::uint8_t> payload) {
@@ -425,6 +474,16 @@ void Runtime::term_send(ProcId from, ProcId to, std::vector<std::uint8_t> payloa
   ++r.term_sent;
   // The matching receive is counted when the message is processed.
   r.node->send(to, Message{term_h_, from, MsgKind::kSystem, std::move(payload)});
+}
+
+void Runtime::term_fan_out(ProcId leader, const std::vector<std::uint8_t>& payload) {
+  if (leader == 0) {
+    for (ProcId l = kTermBlock; l < machine_.nprocs(); l += kTermBlock) {
+      term_send(0, l, payload);
+    }
+  }
+  const ProcId end = leader + block_size(leader, machine_.nprocs());
+  for (ProcId p = leader + 1; p < end; ++p) term_send(leader, p, payload);
 }
 
 void Runtime::term_on_idle(NodeRt& r) {
@@ -441,18 +500,49 @@ void Runtime::term_on_idle(NodeRt& r) {
   r.did_work = false;
   r.reported_sent = sent;
   r.reported_recv = recv;
-  ByteWriter w;
-  w.put<std::uint8_t>(kTermReport);
-  // wire:prema.term.report pack w
-  w.put<std::int64_t>(sent);
-  w.put<std::int64_t>(recv);
-  if (r.node->rank() == 0) {
-    assert_coord_held();  // rank 0's state lock *is* the coordinator lock
-    term_record_report(0, sent, recv);
-    term_consider_wave(r);
+  const ProcId me = r.node->rank();
+  if (is_leader(me)) {
+    term_member_report(r, me, sent, recv);
     return;
   }
-  term_send(r.node->rank(), 0, w.take());
+  term_send(me, leader_of(me), report_payload(sent, recv));
+}
+
+void Runtime::term_record_report(TermCoordinator& c, int slot, std::int64_t sent,
+                                 std::int64_t recv) {
+  const auto i = static_cast<std::size_t>(slot);
+  c.reported += (sent >= 0 ? 1 : 0) - (c.sent[i] >= 0 ? 1 : 0);
+  c.sent_sum += std::max<std::int64_t>(0, sent) - std::max<std::int64_t>(0, c.sent[i]);
+  c.recv_sum += std::max<std::int64_t>(0, recv) - std::max<std::int64_t>(0, c.recv[i]);
+  c.sent[i] = sent;
+  c.recv[i] = recv;
+}
+
+void Runtime::term_member_report(NodeRt& l, ProcId p, std::int64_t sent,
+                                 std::int64_t recv) {
+  l.assert_state_held();
+  const ProcId leader = l.node->rank();
+  PREMA_CHECK_MSG(leader_of(p) == leader, "termination report at the wrong leader");
+  TermCoordinator& b = *l.block;
+  term_record_report(b, p - leader, sent, recv);
+  if (b.reported < static_cast<int>(b.sent.size())) return;  // block not all in
+  if (leader != 0) {
+    // Coalesce into one forward per kTermForwardDelayS. A self-addressed
+    // timer, not term_send: internal messages bypass the sent/received
+    // stats, so the detector's own counts stay untouched.
+    if (b.forward_armed) return;
+    b.forward_armed = true;
+    ByteWriter w;
+    w.put<std::uint8_t>(kTermForward);
+    l.node->send_self_after(kTermForwardDelayS,
+                            Message{term_h_, leader, MsgKind::kSystem, w.take()});
+    return;
+  }
+  // Block 0's slot is filled locally: rank 0's state lock *is* the
+  // coordinator lock.
+  assert_coord_held();
+  term_record_report(*term_, 0, b.sent_sum, b.recv_sum);
+  term_consider_wave(l);
 }
 
 void Runtime::term_consider_wave(NodeRt& r0) {
@@ -469,31 +559,24 @@ void Runtime::term_consider_wave(NodeRt& r0) {
   term_start_wave(r0, static_cast<std::uint64_t>(c.sent_sum));
 }
 
-void Runtime::term_record_report(ProcId p, std::int64_t sent, std::int64_t recv) {
-  assert_coord_held();
-  auto& c = *term_;
-  const auto i = static_cast<std::size_t>(p);
-  c.reported += (sent >= 0 ? 1 : 0) - (c.sent[i] >= 0 ? 1 : 0);
-  c.sent_sum += std::max<std::int64_t>(0, sent) - std::max<std::int64_t>(0, c.sent[i]);
-  c.recv_sum += std::max<std::int64_t>(0, recv) - std::max<std::int64_t>(0, c.recv[i]);
-  c.sent[i] = sent;
-  c.recv[i] = recv;
+void Runtime::term_open_wave(TermCoordinator& c, std::uint64_t wave) {
+  c.wave = wave;
+  c.wave_active = true;
+  c.acks = 0;
+  c.all_idle = true;
+  c.ack_sent_sum = 0;
+  c.ack_recv_sum = 0;
 }
 
 void Runtime::term_start_wave(NodeRt& r0, std::uint64_t snapshot) {
   r0.assert_state_held();
   assert_coord_held();
   auto& c = *term_;
-  ++c.wave;
+  term_open_wave(c, c.wave + 1);
   ++term_waves_;
   if (auto* ts = r0.node->trace()) {
     ts->record(trace::EventKind::kTermWave, r0.node->now(), kNoProc, c.wave);
   }
-  c.wave_active = true;
-  c.acks = 0;
-  c.all_idle = true;
-  c.ack_sent_sum = 0;
-  c.ack_recv_sum = 0;
   c.snap_sent_sum = snapshot;
 
   // Rank 0 answers its own probe locally — evaluated *before* the probes go
@@ -509,29 +592,55 @@ void Runtime::term_start_wave(NodeRt& r0, std::uint64_t snapshot) {
   w.put<std::uint8_t>(kTermProbe);
   // wire:prema.term.probe pack w
   w.put<std::uint64_t>(c.wave);
-  for (ProcId p = 1; p < static_cast<ProcId>(c.sent.size()); ++p) {
-    term_send(0, p, w.bytes());
-  }
-  term_record_ack(r0, c.wave, self_sent, self_recv, self_idle);
+  term_fan_out(0, w.bytes());
+  term_record_ack(r0, c.wave, self_sent, self_recv, self_idle, 1);
 }
 
-void Runtime::term_record_ack(NodeRt& r0, std::uint64_t wave, std::uint64_t sent,
-                              std::uint64_t recv, bool idle) {
-  r0.assert_state_held();
-  assert_coord_held();
-  auto& c = *term_;
-  if (!c.wave_active || wave != c.wave || term_detected_) return;
-  ++c.acks;
+bool Runtime::term_tally_ack(TermCoordinator& c, std::uint64_t wave,
+                             std::uint64_t sent, std::uint64_t recv, bool idle,
+                             int count, int expected) {
+  if (!c.wave_active || wave != c.wave) return false;
+  c.acks += count;
   c.all_idle = c.all_idle && idle;
   c.ack_sent_sum += sent;
   c.ack_recv_sum += recv;
-  if (c.acks < static_cast<int>(c.sent.size())) return;
+  if (c.acks < expected) return false;
+  c.wave_active = false;
+  return true;
+}
+
+void Runtime::term_block_ack(NodeRt& l, std::uint64_t wave, std::uint64_t sent,
+                             std::uint64_t recv, bool idle) {
+  l.assert_state_held();
+  TermCoordinator& b = *l.block;
+  if (!term_tally_ack(b, wave, sent, recv, idle, 1, static_cast<int>(b.sent.size()))) {
+    return;
+  }
+  ByteWriter w;
+  w.put<std::uint8_t>(kTermBlockAck);
+  // wire:prema.term.block_ack pack w
+  w.put<std::uint64_t>(wave);
+  w.put<std::uint64_t>(b.ack_sent_sum);
+  w.put<std::uint64_t>(b.ack_recv_sum);
+  w.put<std::uint8_t>(b.all_idle ? 1 : 0);
+  w.put<std::int32_t>(b.acks);
+  term_send(l.node->rank(), 0, w.take());
+}
+
+void Runtime::term_record_ack(NodeRt& r0, std::uint64_t wave, std::uint64_t sent,
+                              std::uint64_t recv, bool idle, int count) {
+  r0.assert_state_held();
+  assert_coord_held();
+  auto& c = *term_;
+  if (term_detected_ ||
+      !term_tally_ack(c, wave, sent, recv, idle, count, machine_.nprocs())) {
+    return;
+  }
   PREMA_LOG_DEBUG("term: wave %llu done idle=%d acks=%llu/%llu snap=%llu",
                   (unsigned long long)wave, (int)c.all_idle,
                   (unsigned long long)c.ack_sent_sum,
                   (unsigned long long)c.ack_recv_sum,
                   (unsigned long long)c.snap_sent_sum);
-  c.wave_active = false;
   if (!c.all_idle || c.ack_sent_sum != c.ack_recv_sum) {
     // Still active. Under reliable transport a wave can fail on *transient*
     // recovery state — a node awaiting the ack of its last term report, or a
@@ -557,9 +666,7 @@ void Runtime::term_record_ack(NodeRt& r0, std::uint64_t wave, std::uint64_t sent
     term_detected_ = true;
     ByteWriter w;
     w.put<std::uint8_t>(kTermDone);
-    for (ProcId p = 1; p < static_cast<ProcId>(c.sent.size()); ++p) {
-      term_send(0, p, w.bytes());
-    }
+    term_fan_out(0, w.bytes());
     // Locally wind down rank 0: no further balancing wakeups.
     r0.balancer->stop();
     r0.node->cancel_timers();
@@ -591,51 +698,95 @@ void Runtime::term_on_wire(NodeRt& r, Message&& msg) {
   if (!msg.internal) ++r.term_recv;
   ByteReader reader(msg.payload);
   const auto tag = reader.get<std::uint8_t>();
+  const ProcId me = r.node->rank();
   switch (tag) {
     case kTermReport: {
-      PREMA_CHECK_MSG(r.node->rank() == 0, "termination report at non-coordinator");
-      assert_coord_held();
       // wire:prema.term.report unpack reader
       const auto sent = reader.get<std::int64_t>();
       const auto recv = reader.get<std::int64_t>();
-      term_record_report(msg.src, sent, recv);
+      if (!is_leader(msg.src)) {
+        term_member_report(r, msg.src, sent, recv);
+        return;
+      }
+      // A leader's report is its block's forwarded sums.
+      PREMA_CHECK_MSG(me == 0, "block forward at non-coordinator");
+      assert_coord_held();
+      term_record_report(*term_, msg.src / kTermBlock, sent, recv);
       term_consider_wave(r);
       return;
     }
     case kTermProbe: {
       // wire:prema.term.probe unpack reader
       const auto wave = reader.get<std::uint64_t>();
+      const std::uint64_t sent = r.eff_sent();
+      const std::uint64_t recv = r.eff_recv();
+      const bool idle = r.locally_quiet();
+      if (is_leader(me)) {
+        // A leader answers for its whole block. Its own ack is evaluated
+        // before it passes the probe on, for the reason term_start_wave
+        // gives for rank 0.
+        term_open_wave(*r.block, wave);
+        term_fan_out(me, msg.payload);
+        term_block_ack(r, wave, sent, recv, idle);
+        return;
+      }
       ByteWriter w;
       w.put<std::uint8_t>(kTermAck);
       // wire:prema.term.ack pack w
       w.put<std::uint64_t>(wave);
-      w.put<std::uint64_t>(r.eff_sent());
-      w.put<std::uint64_t>(r.eff_recv());
-      w.put<std::uint8_t>(r.locally_quiet() ? 1 : 0);
-      term_send(r.node->rank(), 0, w.take());
+      w.put<std::uint64_t>(sent);
+      w.put<std::uint64_t>(recv);
+      w.put<std::uint8_t>(idle ? 1 : 0);
+      term_send(me, leader_of(me), w.take());
       return;
     }
     case kTermAck: {
-      PREMA_CHECK_MSG(r.node->rank() == 0, "termination ack at non-coordinator");
+      PREMA_CHECK_MSG(is_leader(me), "termination ack at non-leader");
       // wire:prema.term.ack unpack reader
       const auto wave = reader.get<std::uint64_t>();
       const auto sent = reader.get<std::uint64_t>();
       const auto recv = reader.get<std::uint64_t>();
       const bool idle = reader.get<std::uint8_t>() != 0;
-      term_record_ack(r, wave, sent, recv, idle);
+      if (me == 0) {
+        term_record_ack(r, wave, sent, recv, idle, 1);
+      } else {
+        term_block_ack(r, wave, sent, recv, idle);
+      }
+      return;
+    }
+    case kTermBlockAck: {
+      PREMA_CHECK_MSG(me == 0, "block ack at non-coordinator");
+      // wire:prema.term.block_ack unpack reader
+      const auto wave = reader.get<std::uint64_t>();
+      const auto sent = reader.get<std::uint64_t>();
+      const auto recv = reader.get<std::uint64_t>();
+      const bool idle = reader.get<std::uint8_t>() != 0;
+      const auto count = reader.get<std::int32_t>();
+      term_record_ack(r, wave, sent, recv, idle, count);
       return;
     }
     case kTermDone:
-      // The run is over: silence balancing retries so their timers do not
-      // keep the machine (and its idle clocks) running.
+      // The run is over: pass it down the tree, then silence balancing
+      // retries so their timers do not keep the machine (and its idle
+      // clocks) running.
+      if (is_leader(me)) term_fan_out(me, msg.payload);
       r.balancer->stop();
       r.node->cancel_timers();
       return;
     case kTermRetry: {
-      PREMA_CHECK_MSG(r.node->rank() == 0, "termination retry at non-coordinator");
+      PREMA_CHECK_MSG(me == 0, "termination retry at non-coordinator");
       assert_coord_held();
       term_->retry_armed = false;
       if (!term_detected_ && !term_->wave_active) term_consider_wave(r);
+      return;
+    }
+    case kTermForward: {
+      // The forward timer fires: send rank 0 the block's sums in a member's
+      // report format (rank 0 tells the two apart by the sender, since a
+      // leader never reports to anyone but itself).
+      TermCoordinator& b = *r.block;
+      b.forward_armed = false;
+      term_send(me, 0, report_payload(b.sent_sum, b.recv_sum));
       return;
     }
     default:

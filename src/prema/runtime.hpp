@@ -177,17 +177,28 @@ class Runtime {
   class NodeProgram;
   struct NodeRt;
 
-  // Termination detection (Mattern-style counting waves, coordinator rank 0).
+  // Termination detection (Mattern-style counting waves, coordinator rank 0,
+  // combined through block leaders; see runtime.cpp).
   struct TermCoordinator;
   void term_send(ProcId from, ProcId to, std::vector<std::uint8_t> payload);
+  void term_fan_out(ProcId leader, const std::vector<std::uint8_t>& payload);
   void term_on_idle(NodeRt& rt);
   void term_on_wire(NodeRt& rt, dmcs::Message&& msg);
-  void term_record_report(ProcId p, std::int64_t sent, std::int64_t recv);
+  static void term_record_report(TermCoordinator& c, int slot, std::int64_t sent,
+                                 std::int64_t recv);
+  void term_member_report(NodeRt& leader, ProcId p, std::int64_t sent,
+                          std::int64_t recv);
   void term_consider_wave(NodeRt& r0);
+  static void term_open_wave(TermCoordinator& c, std::uint64_t wave);
   void term_start_wave(NodeRt& r0, std::uint64_t snapshot);
   void term_schedule_retry(NodeRt& r0);
+  static bool term_tally_ack(TermCoordinator& c, std::uint64_t wave,
+                             std::uint64_t sent, std::uint64_t recv, bool idle,
+                             int count, int expected);
+  void term_block_ack(NodeRt& leader, std::uint64_t wave, std::uint64_t sent,
+                      std::uint64_t recv, bool idle);
   void term_record_ack(NodeRt& r0, std::uint64_t wave, std::uint64_t sent,
-                       std::uint64_t recv, bool idle);
+                       std::uint64_t recv, bool idle, int count);
 
   // Service mode (open-loop arrivals + epoch cadence).
   void service_start(NodeRt& r);
@@ -218,9 +229,11 @@ class Runtime {
   /// whole run; null in run-to-quiescence mode.
   std::unique_ptr<ServiceConfig> svc_;
 
-  /// The capability guarding all coordinator-side termination state: the
-  /// detector runs entirely inside rank 0's message handlers / idle hook, so
-  /// rank 0's state mutex is what those paths already hold.
+  /// The capability guarding rank 0's termination state (the per-block slots
+  /// and the global wave): that part of the detector runs entirely inside
+  /// rank 0's message handlers / idle hook, so rank 0's state mutex is what
+  /// those paths already hold. A block leader's tally lives in its NodeRt,
+  /// under its own state mutex.
   [[nodiscard]] util::RecursiveMutex& coord_mutex()
       PREMA_RETURN_CAPABILITY(machine_.node(0).state_mutex()) {
     return machine_.node(0).state_mutex();

@@ -452,5 +452,25 @@ TEST(FaultSoak, ExplicitPollingSurvivesLossyLinks) {
   EXPECT_EQ(report.executed, 8 * 16);
 }
 
+/// Past 128 procs termination traffic goes through block leaders: reports,
+/// coalesced forwards, fanned-out probes and summed block acks, all riding
+/// the reliable transport under each profile.
+void soak_termination_tree(int nprocs) {
+  for (const char* profile : {"lossy1pct", "burst-reorder"}) {
+    for (const auto sys : {bench::System::kPremaExplicit, bench::System::kPremaImplicit}) {
+      SCOPED_TRACE(std::string(profile) + " panel " + bench::system_panel(sys));
+      auto cfg = soak_config(profile);
+      cfg.nprocs = nprocs;
+      const auto report = bench::run_synthetic(sys, cfg);
+      EXPECT_EQ(report.executed, nprocs * 16);
+      EXPECT_TRUE(report.audit_ok);  // includes termination_detected()
+    }
+  }
+}
+
+TEST(FaultSoak, TerminationTreeWithOneRankBlock) { soak_termination_tree(129); }
+
+TEST(FaultSoak, TerminationTreeWithTwoFullBlocks) { soak_termination_tree(256); }
+
 }  // namespace
 }  // namespace prema::fault

@@ -124,20 +124,21 @@ TEST(PremaIntegration, WorkStealingSpreadsTheLoad) {
 
 TEST(PremaIntegration, CountingWaveAtScaleMatchesParent) {
   // 1024 processors, every unit starting on rank 0: most ranks report idle
-  // many times before work reaches them, so the coordinator's report tally
-  // and the event queue's cancellations are exercised at scale. The
-  // figures are pinned exactly to what the detector that re-summed every
-  // report slot and the hash-set event queue produced: a change to the
-  // detector's bookkeeping or to the event order shows up here.
+  // many times before work reaches them, so the leaders' report tallies,
+  // their coalesced forwards to rank 0, the block acks and the event queue's
+  // cancellations are all exercised at scale (eight blocks of the
+  // termination tree). The figures are pinned exactly to what the two-level
+  // detector produces: a change to the detector's bookkeeping or to the
+  // event order shows up here.
   const auto r =
       run_imbalanced("work_stealing", 1024, 2048, 0.02, dmcs::PollingMode::kPreemptive);
   EXPECT_EQ(r.executed, 2048);
   EXPECT_EQ(r.hit_sum, 2048);
   EXPECT_TRUE(r.termination_detected);
-  EXPECT_EQ(r.makespan, 10.772324851993297);
-  EXPECT_EQ(r.migrations, 6443u);
-  EXPECT_EQ(r.termination_waves, 25u);
-  EXPECT_EQ(r.events, 1211292u);
+  EXPECT_EQ(r.makespan, 1.3884568047272281);
+  EXPECT_EQ(r.migrations, 7308u);
+  EXPECT_EQ(r.termination_waves, 2u);
+  EXPECT_EQ(r.events, 697034u);
 }
 
 class PolicySweep : public ::testing::TestWithParam<const char*> {};
@@ -300,6 +301,51 @@ TEST(PremaIntegration, RunsOnRealThreadsWithPreemptiveStealing) {
   }
   EXPECT_EQ(widgets, 16);
   EXPECT_TRUE(rt.termination_detected());
+}
+
+TEST(PremaIntegration, TerminationTreeRunsOnRealThreads) {
+  // 130 processors make two termination blocks, of 128 and 2 ranks, so
+  // reports, forwards, probes and block acks race real worker and poller
+  // threads on every leader's state lock.
+  constexpr int kProcs = 130;
+  constexpr int kObjects = 2 * kProcs;
+  for (const auto mode : {dmcs::PollingMode::kExplicit, dmcs::PollingMode::kPreemptive}) {
+    SCOPED_TRACE(mode == dmcs::PollingMode::kExplicit ? "explicit" : "preemptive");
+    dmcs::ThreadConfig tcfg;
+    tcfg.nprocs = kProcs;
+    tcfg.mflops = 2000.0;
+    tcfg.polling.mode = mode;
+    tcfg.polling.interval_s = 1e-3;
+    dmcs::ThreadMachine machine(tcfg);
+    RuntimeConfig rcfg;
+    rcfg.policy = "work_stealing";
+    Runtime rt(machine, rcfg);
+    rt.object_types().add(1, Widget::make);
+    const auto work = rt.register_object_handler(
+        "work", [](Context& ctx, mol::MobileObject& obj, ByteReader& r,
+                   const mol::Delivery&) {
+          static_cast<Widget&>(obj).hits++;
+          ctx.compute(r.get<double>());
+        });
+    rt.set_main([&](Context& ctx) {
+      if (ctx.rank() != 0) return;
+      for (int i = 0; i < kObjects; ++i) {
+        auto ptr = ctx.add_object(std::make_unique<Widget>());
+        ctx.message(ptr, work, mflop_payload(1.0), 1.0);  // ~0.5 ms each
+      }
+    });
+    rt.run();
+    EXPECT_TRUE(rt.termination_detected());
+    int widgets = 0;
+    for (ProcId p = 0; p < kProcs; ++p) {
+      auto& mol = rt.mol_at(p);
+      for (const auto& ptr : mol.local_ptrs()) {
+        ++widgets;
+        EXPECT_EQ(static_cast<Widget*>(mol.find(ptr))->hits, 1);
+      }
+    }
+    EXPECT_EQ(widgets, kObjects);
+  }
 }
 
 TEST(PremaIntegration, DeterministicAcrossRuns) {
