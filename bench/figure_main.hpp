@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -24,7 +23,8 @@
 ///        --fault-profile=<name>   run under a canned fault-injection profile
 ///                                 (none | lossy1pct | burst-reorder |
 ///                                 one-slow-node, see EXPERIMENTS.md).
-///        --fault-seed=<n>         seed the fault plan's RNG streams.
+///        --fault-seed=<n>         seed the fault plan's RNG streams (decimal
+///                                 digits; anything else exits 2).
 ///        --policy=<name>          override the balancing PREMA panels'
 ///                                 policy (any registry name, including the
 ///                                 topology-aware sfc; anything else exits 2
@@ -55,7 +55,10 @@ inline int run_figure(int argc, char** argv, const char* title,
         return 2;
       }
     } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-      cfg.fault_seed = std::strtoull(arg + 13, nullptr, 10);
+      if (!fault::parse_fault_seed(arg + 13, cfg.fault_seed)) {
+        std::cerr << "bad --fault-seed value: " << arg + 13 << "\n";
+        return 2;
+      }
     } else if (std::strncmp(arg, "--policy=", 9) == 0) {
       cfg.policy = arg + 9;
       if (!known_policy(cfg.policy)) return 2;

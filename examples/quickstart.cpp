@@ -28,7 +28,6 @@
 // runtime's reliable transport masks them: the traversal still visits every
 // node exactly once and termination detection still fires.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -89,7 +88,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
-      fault_seed = std::strtoull(argv[i] + 13, nullptr, 10);
+      if (!fault::parse_fault_seed(argv[i] + 13, fault_seed)) {
+        std::fprintf(stderr, "bad --fault-seed value: %s\n", argv[i] + 13);
+        return 2;
+      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--trace-out=<file>] [--fault-profile=<name>]"

@@ -28,6 +28,18 @@ const char* mesh_system_name(MeshSystem s) {
 
 namespace {
 
+/// Boundary divisions per subdomain (>= 2 for general position).
+constexpr int kBoundaryDivisions = 2;
+/// Crack sizing: fine size at the tip, background size, influence radius
+/// (all in domain units; subdomain edge is 1/grid).
+constexpr double kHMin = 0.018;
+constexpr double kHMax = 0.18;
+constexpr double kCrackRadius = 0.18;
+constexpr double kProcMflops = 333.0;
+constexpr double kPollIntervalS = 10e-3;
+/// Stop-and-repartition outstanding-work threshold.
+constexpr double kSrpMinOutstanding = 0.02;
+
 /// Phase coordinator: a (deliberately immobile: its work carries no weight)
 /// mobile object on rank 0 counting per-phase completions. It also keeps the
 /// last element count per subdomain: the next phase's messages carry those
@@ -87,8 +99,8 @@ struct Counters {
 };
 
 CrackTipSizing sizing_for(const MeshAppConfig& cfg, int phase) {
-  return CrackTipSizing(mesh::crack_tip_position(phase, cfg.seed), cfg.h_min,
-                        cfg.h_max, cfg.crack_radius);
+  return CrackTipSizing(mesh::crack_tip_position(phase, cfg.seed), kHMin, kHMax,
+                        kCrackRadius);
 }
 
 /// Subdomain box for global index g.
@@ -176,7 +188,7 @@ MeshAppReport drive(Runtime& rt, dmcs::Machine& machine, MeshSystem sys,
         // coordinator around.
         ByteWriter w;
         w.put<std::int32_t>(g);
-        w.put<double>(mflop / cfg.proc_mflops);
+        w.put<double>(mflop / kProcMflops);
         ctx.message(Layout::coordinator_ptr(), done_h, w.take(), 0.0);
       });
 
@@ -193,7 +205,7 @@ MeshAppReport drive(Runtime& rt, dmcs::Machine& machine, MeshSystem sys,
       Vec3 lo, hi;
       box_of(cfg, g, lo, hi);
       ctx.add_object(std::make_unique<MeshSubdomain>(
-          lo, hi, cfg.boundary_divisions,
+          lo, hi, kBoundaryDivisions,
           cfg.seed * 1315423911ULL + static_cast<std::uint64_t>(g)));
     }
     if (ctx.rank() == 0) {
@@ -218,7 +230,7 @@ MeshAppReport drive(Runtime& rt, dmcs::Machine& machine, MeshSystem sys,
 MeshAppReport run_mesh_app(MeshSystem sys, const MeshAppConfig& cfg) {
   sim::MachineConfig mcfg;
   mcfg.nprocs = cfg.nprocs;
-  mcfg.mflops = cfg.proc_mflops;
+  mcfg.mflops = kProcMflops;
   mcfg.seed = cfg.seed;
   Counters counters;
 
@@ -226,8 +238,8 @@ MeshAppReport run_mesh_app(MeshSystem sys, const MeshAppConfig& cfg) {
     dmcs::SimMachine machine(mcfg);
     srp::SrpConfig scfg;
     scfg.cooldown_s = cfg.srp_cooldown_s;
-    scfg.min_outstanding_fraction = cfg.srp_min_outstanding;
-    scfg.proc_mflops = cfg.proc_mflops;
+    scfg.min_outstanding_fraction = kSrpMinOutstanding;
+    scfg.proc_mflops = kProcMflops;
     srp::Runtime rt(machine, scfg);
     rt.set_total_units(static_cast<std::int64_t>(cfg.grid) * cfg.grid * cfg.grid *
                        cfg.phases);
@@ -239,7 +251,7 @@ MeshAppReport run_mesh_app(MeshSystem sys, const MeshAppConfig& cfg) {
   dmcs::PollingConfig pcfg;
   pcfg.mode = sys == MeshSystem::kPremaImplicit ? dmcs::PollingMode::kPreemptive
                                                 : dmcs::PollingMode::kExplicit;
-  pcfg.interval_s = cfg.poll_interval_s;
+  pcfg.interval_s = kPollIntervalS;
   dmcs::SimMachine machine(mcfg, pcfg);
   RuntimeConfig rcfg;
   rcfg.policy = sys == MeshSystem::kNoLB ? "null" : "work_stealing";

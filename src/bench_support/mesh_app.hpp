@@ -29,22 +29,12 @@ struct MeshAppConfig {
   /// Subdomain grid resolution per axis (grid^3 subdomains).
   int grid = 10;
   int phases = 5;
-  /// Boundary divisions per subdomain (>= 2 for general position).
-  int boundary_divisions = 2;
-  /// Crack sizing: fine size at the tip, background size, influence radius
-  /// (all in domain units; subdomain edge is 1/grid).
-  double h_min = 0.018;
-  double h_max = 0.18;
-  double crack_radius = 0.18;
-  double proc_mflops = 333.0;
-  double poll_interval_s = 10e-3;
-  /// Stop-and-repartition tuning. The default cooldown approximates the
-  /// classic usage the paper describes (§1): repartition once per refinement
-  /// phase (phases here run ~10 s). Smaller cooldowns turn the baseline into
-  /// a quasi-continuous rebalancer — see the cooldown sweep printed by
+  /// Stop-and-repartition cooldown. The default approximates the classic
+  /// usage the paper describes (§1): repartition once per refinement phase
+  /// (phases here run ~10 s). Smaller cooldowns turn the baseline into a
+  /// quasi-continuous rebalancer — see the cooldown sweep printed by
   /// bench/mesh_generator.
   double srp_cooldown_s = 10.0;
-  double srp_min_outstanding = 0.02;
   std::uint64_t seed = 77;
 };
 

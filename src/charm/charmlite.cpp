@@ -6,7 +6,7 @@
 #include <queue>
 #include <set>
 
-#include "partition/adaptive.hpp"
+#include "graph/csr_graph.hpp"
 #include "partition/multilevel.hpp"
 #include "support/assert.hpp"
 
@@ -19,6 +19,9 @@ using util::ByteWriter;
 using util::TimeCategory;
 
 namespace {
+
+/// Extra per-entry scheduling overhead (pick-and-process bookkeeping).
+constexpr double kSchedulingCostS = 2e-6;
 
 struct Invocation {
   EntryId entry = 0;
@@ -69,7 +72,7 @@ class Runtime::Program final : public dmcs::Program {
       auto qit = s.queues.find(idx);
       if (qit == s.queues.end() || qit->second.empty()) continue;
       if (s.synced.count(idx) != 0) continue;  // parked until resume
-      n.compute_seconds(rt_.cfg_.scheduling_cost_s, TimeCategory::kScheduling);
+      n.compute_seconds(kSchedulingCostS, TimeCategory::kScheduling);
       s.current = idx;
       s.current_inv = std::move(qit->second.front());
       qit->second.pop_front();
@@ -302,14 +305,14 @@ void Runtime::handle_sync_contribution(dmcs::Node& n, Message&& msg) {
 
   // Balancing step: run the strategy on the measured database.
   const auto assignment = run_strategy(db_load_, db_where_);
-  // Charge the decision cost as Partition Calculation time on the root.
+  // Charge the decision cost as Partition Calculation time on the root: the
+  // strategy costs 30% of a multilevel partition of the chare graph.
   graph::GraphBuilder gb(array_n_);
   for (ChareIdx i = 0; i < array_n_; ++i) {
     gb.set_vertex_weight(i, std::max(1e-9, db_load_[static_cast<std::size_t>(i)]));
   }
   n.compute_seconds(
-      part::modeled_partition_seconds(gb.build(), machine_.nprocs()) *
-          (cfg_.strategy == Strategy::kMetis ? 1.0 : 0.3),
+      part::modeled_partition_seconds(gb.build(), machine_.nprocs()) * 0.3,
       TimeCategory::kPartitionCalc);
 
   ByteWriter w;
@@ -349,59 +352,6 @@ std::vector<ProcId> Runtime::run_strategy(const std::vector<double>& loads,
         heap.pop();
         out[static_cast<std::size_t>(c)] = q;
         heap.emplace(w + loads[static_cast<std::size_t>(c)], q);
-      }
-      return out;
-    }
-    case Strategy::kRefine: {
-      std::vector<double> proc_load(static_cast<std::size_t>(p), 0.0);
-      double total = 0.0;
-      for (std::size_t i = 0; i < loads.size(); ++i) {
-        proc_load[static_cast<std::size_t>(out[i])] += loads[i];
-        total += loads[i];
-      }
-      const double limit = cfg_.refine_threshold * total / p;
-      // For each overloaded processor, shed heaviest chares to the lightest
-      // processors until at or below the threshold (§3.2 Refinement).
-      for (ProcId q = 0; q < p; ++q) {
-        while (proc_load[static_cast<std::size_t>(q)] > limit) {
-          ChareIdx heaviest = -1;
-          for (std::size_t i = 0; i < loads.size(); ++i) {
-            if (out[i] != q) continue;
-            if (heaviest < 0 || loads[i] > loads[static_cast<std::size_t>(heaviest)]) {
-              heaviest = static_cast<ChareIdx>(i);
-            }
-          }
-          if (heaviest < 0) break;
-          const auto lightest = static_cast<ProcId>(
-              std::min_element(proc_load.begin(), proc_load.end()) -
-              proc_load.begin());
-          if (lightest == q) break;
-          const double w = loads[static_cast<std::size_t>(heaviest)];
-          if (proc_load[static_cast<std::size_t>(lightest)] + w >
-              proc_load[static_cast<std::size_t>(q)]) {
-            break;  // moving would not help
-          }
-          out[static_cast<std::size_t>(heaviest)] = lightest;
-          proc_load[static_cast<std::size_t>(q)] -= w;
-          proc_load[static_cast<std::size_t>(lightest)] += w;
-        }
-      }
-      return out;
-    }
-    case Strategy::kMetis: {
-      graph::GraphBuilder gb(array_n_);
-      for (ChareIdx i = 0; i < array_n_; ++i) {
-        gb.set_vertex_weight(i, std::max(1e-9, loads[static_cast<std::size_t>(i)]));
-      }
-      for (const auto& [a, b, w] : edges_) gb.add_edge(a, b, w);
-      const auto g = gb.build();
-      part::PartitionOptions popts;
-      popts.k = p;
-      graph::Partition old_as_part(where.begin(), where.end());
-      auto fresh = part::multilevel_kway(g, popts);
-      fresh = part::remap_labels(g, old_as_part, fresh, p);
-      for (std::size_t i = 0; i < fresh.size(); ++i) {
-        out[i] = static_cast<ProcId>(fresh[i]);
       }
       return out;
     }

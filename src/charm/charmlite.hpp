@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "dmcs/machine.hpp"
-#include "graph/csr_graph.hpp"
 #include "support/byte_buffer.hpp"
 
 /// \file charmlite.hpp
@@ -23,7 +22,7 @@
 ///  - load balancing is *measurement-based*: the runtime records each
 ///    chare's execution time into a distributed LB database (the principle
 ///    of persistent computation), and rebalances only at **AtSync barriers**
-///    using a pluggable strategy (Greedy / Refine / Metis-based — §3.2).
+///    using the Greedy strategy (§3.2).
 
 namespace prema::charmlite {
 
@@ -73,18 +72,11 @@ using ChareInit = std::function<std::unique_ptr<Chare>(ChareIdx idx)>;
 enum class Strategy : std::uint8_t {
   kNone = 0,   ///< AtSync barriers release immediately; nothing moves
   kGreedy,     ///< sort chares by measured load, heaviest to lightest proc
-  kRefine,     ///< move chares off overloaded procs until near the average
-  kMetis,      ///< our multilevel partitioner on the chare graph
   kRotate      ///< shift every chare one proc (testing / worst case)
 };
 
 struct CharmConfig {
   Strategy strategy = Strategy::kGreedy;
-  /// RefineLB threshold: a processor is overloaded above this multiple of
-  /// the average measured load.
-  double refine_threshold = 1.05;
-  /// Extra per-entry scheduling overhead (pick-and-process bookkeeping).
-  double scheduling_cost_s = 2e-6;
 };
 
 class Runtime {
@@ -102,11 +94,6 @@ class Runtime {
   /// distributed across processors by `init`; `resume_entry` runs on every
   /// element after each AtSync rebalancing step (0 = none).
   void create_array(ChareIdx n, ChareInit init, EntryId resume_entry = 0);
-
-  /// Optional communication structure between chares, used by MetisLB.
-  void set_chare_edges(std::vector<std::tuple<ChareIdx, ChareIdx, double>> edges) {
-    edges_ = std::move(edges);
-  }
 
   /// Per-rank application entry point (typically rank 0 seeds messages).
   void set_main(std::function<void(ChareContext&)> fn) { main_ = std::move(fn); }
@@ -147,7 +134,6 @@ class Runtime {
   std::function<void(ChareContext&)> main_;
   std::vector<EntryMethod> entries_;
   std::vector<std::string> entry_names_;
-  std::vector<std::tuple<ChareIdx, ChareIdx, double>> edges_;
   ChareIdx array_n_ = 0;
   EntryId resume_entry_ = 0;
 

@@ -41,7 +41,7 @@ struct Message {
   // Populated only when the machine runs with an active fault plan; with no
   // plan installed every field keeps its default and the transport takes the
   // exact legacy path. Modeled as out-of-band header state (the wire cost of
-  // the envelope is covered by NetworkModel::header_bytes), so size_bytes()
+  // the envelope is covered by sim::net::kHeaderBytes), so size_bytes()
   // is unchanged.
   std::uint32_t seq = 0;       ///< per-(sender,receiver) sequence number
   std::uint32_t ack = 0;       ///< cumulative ack: peer accepted all seq < ack

@@ -37,11 +37,11 @@ struct PollingConfig {
   PollingMode mode = PollingMode::kExplicit;
   /// Polling-thread wakeup period (implicit mode only).
   double interval_s = 10e-3;
-  /// CPU cost of a wakeup that finds pending system messages.
-  double tick_cost_s = 15e-6;
-  /// CPU cost of a wakeup that finds nothing (charged in bulk per activity).
-  double silent_tick_cost_s = 3e-6;
 };
+
+/// CPU cost of a polling wakeup that finds nothing (charged in bulk per
+/// activity).
+inline constexpr double kSilentPollTickCostS = 3e-6;
 
 /// Per-node message counters (used by quiescence detection and the reports).
 /// Atomic because on the threaded backend the worker and the polling thread

@@ -24,8 +24,7 @@ std::uint64_t message_checksum(const Message& m) {
   return h;
 }
 
-ReliableLink::ReliableLink(ProcId self, int nprocs, ReliableConfig cfg)
-    : self_(self), cfg_(cfg) {
+ReliableLink::ReliableLink(ProcId self, int nprocs) : self_(self) {
   PREMA_CHECK_MSG(nprocs > 0, "reliable link needs at least one processor");
   tx_.resize(static_cast<std::size_t>(nprocs));
   rx_.resize(static_cast<std::size_t>(nprocs));
@@ -40,7 +39,7 @@ void ReliableLink::stamp(ProcId dst, Message& msg, double now_s) {
   msg.ack = rx_[static_cast<std::size_t>(dst)].expected;  // piggyback
   Pending p;
   p.msg = msg;  // copy retained until acked
-  p.rto = cfg_.rto_initial_s;
+  p.rto = kRtoInitialS;
   p.deadline = now_s + p.rto;
   tx.pending.emplace(msg.seq, std::move(p));
 }
@@ -62,9 +61,9 @@ std::vector<ReliableLink::Retransmit> ReliableLink::due_retransmits(
     Pending& p = it->second;
     if (p.deadline > now_s) continue;
     ++p.retries;
-    PREMA_CHECK_MSG(p.retries <= cfg_.max_retries,
+    PREMA_CHECK_MSG(p.retries <= kMaxRetries,
                     "reliable transport: retry budget exhausted (link dead?)");
-    p.rto = std::min(p.rto * 2.0, cfg_.rto_max_s);
+    p.rto = std::min(p.rto * 2.0, kRtoMaxS);
     p.deadline = now_s + p.rto;
     Retransmit r;
     r.dst = static_cast<ProcId>(dst);

@@ -46,15 +46,13 @@ namespace prema::dmcs {
 /// Checksum the receiver validates (covers everything the wire could damage).
 [[nodiscard]] std::uint64_t message_checksum(const Message& m);
 
-struct ReliableConfig {
-  double rto_initial_s = 2e-3;  ///< first retransmit timeout
-  double rto_max_s = 250e-3;    ///< backoff ceiling (doubles each retry)
-  int max_retries = 30;         ///< budget before declaring the link dead
-};
+inline constexpr double kRtoInitialS = 2e-3;  ///< first retransmit timeout
+inline constexpr double kRtoMaxS = 250e-3;    ///< backoff ceiling (doubles each retry)
+inline constexpr int kMaxRetries = 30;        ///< budget before declaring the link dead
 
 class ReliableLink {
  public:
-  ReliableLink(ProcId self, int nprocs, ReliableConfig cfg = {});
+  ReliableLink(ProcId self, int nprocs);
 
   // -- sender side ----------------------------------------------------------
 
@@ -139,7 +137,6 @@ class ReliableLink {
   };
 
   ProcId self_;
-  ReliableConfig cfg_;
   mutable util::Mutex mu_;
   std::vector<Tx> tx_ PREMA_GUARDED_BY(mu_);  ///< indexed by destination rank
   std::vector<Rx> rx_ PREMA_GUARDED_BY(mu_);  ///< indexed by source rank

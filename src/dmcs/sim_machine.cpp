@@ -4,12 +4,20 @@
 #include <cmath>
 #include <utility>
 
+#include "sim/network_model.hpp"
 #include "support/assert.hpp"
 #include "support/log.hpp"
 
 namespace prema::dmcs {
 
 using util::TimeCategory;
+
+namespace {
+
+/// CPU cost of a polling wakeup that finds pending system messages.
+constexpr double kPollTickCostS = 15e-6;
+
+}  // namespace
 
 SimNode::SimNode(SimMachine& machine, ProcId rank, int nprocs)
     : Node(rank, nprocs),
@@ -62,8 +70,7 @@ void SimNode::send(ProcId dst, Message msg) {
 }
 
 void SimNode::do_send(ProcId dst, Message&& msg) {
-  const auto& net = machine_.config().net;
-  proc_.advance(TimeCategory::kMessaging, net.send_cpu(msg.size_bytes()));
+  proc_.advance(TimeCategory::kMessaging, sim::net::send_cpu(msg.size_bytes()));
   ++stats_.sent;  // logical sends only: retransmits and acks never re-count
   if (trace_) {
     trace_->record(trace::EventKind::kMessageSend, proc_.clock(), dst, msg.size_bytes(),
@@ -79,9 +86,9 @@ void SimNode::do_send(ProcId dst, Message&& msg) {
 }
 
 void SimNode::wire_send(ProcId dst, Message&& msg) {
-  const auto& net = machine_.config().net;
   SimNode& target = machine_.sim_node(dst);
-  const double transfer = dst == rank_ ? 1e-9 : net.transfer_time(msg.size_bytes());
+  const double transfer =
+      dst == rank_ ? 1e-9 : sim::net::transfer_time(msg.size_bytes());
   auto* plan = machine_.fault_plan();
   if (plan == nullptr || dst == rank_) {
     // Legacy delivery; arithmetic and event order are byte-identical to the
@@ -295,8 +302,7 @@ void SimNode::drain_inbox() {
   while (!inbox_.empty()) {
     Message msg = std::move(inbox_.front());
     inbox_.pop_front();
-    proc_.advance(TimeCategory::kMessaging,
-                  machine_.config().net.recv_cpu(msg.size_bytes()));
+    proc_.advance(TimeCategory::kMessaging, sim::net::recv_cpu(msg.size_bytes()));
     if (trace_) {
       trace_->record(trace::EventKind::kMessageRecv, proc_.clock(), msg.src,
                      msg.size_bytes(), 0.0, 0, msg.kind == MsgKind::kSystem);
@@ -383,7 +389,7 @@ void SimNode::on_interrupt(std::uint64_t gen) {
   proc_.advance(TimeCategory::kComputation, elapsed);
   remaining_s_ = std::max(0.0, remaining_s_ - elapsed);
 
-  proc_.advance(TimeCategory::kPolling, polling().tick_cost_s);
+  proc_.advance(TimeCategory::kPolling, kPollTickCostS);
   ++interrupts_;
   if (trace_) trace_->record(trace::EventKind::kPollWakeup, proc_.clock());
 
@@ -396,8 +402,7 @@ void SimNode::on_interrupt(std::uint64_t gen) {
     }
     Message msg = std::move(*it);
     it = inbox_.erase(it);
-    proc_.advance(TimeCategory::kMessaging,
-                  machine_.config().net.recv_cpu(msg.size_bytes()));
+    proc_.advance(TimeCategory::kMessaging, sim::net::recv_cpu(msg.size_bytes()));
     if (trace_) {
       trace_->record(trace::EventKind::kMessageRecv, proc_.clock(), msg.src,
                      msg.size_bytes(), 0.0, 0, true);
@@ -425,7 +430,7 @@ void SimNode::finish_activity(std::uint64_t gen) {
     const int silent = std::max(0, ticks - interrupts_);
     if (silent > 0) {
       proc_.advance(TimeCategory::kPolling,
-                    static_cast<double>(silent) * polling().silent_tick_cost_s);
+                    static_cast<double>(silent) * kSilentPollTickCostS);
     }
   }
 

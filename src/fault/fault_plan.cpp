@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -80,6 +81,12 @@ FaultProfile make_fault_profile(const std::string& name) {
 bool is_fault_profile(const std::string& name) {
   return name == "none" || name == "lossy1pct" || name == "burst-reorder" ||
          name == "one-slow-node" || name == "mid-pause";
+}
+
+bool parse_fault_seed(std::string_view text, std::uint64_t& seed) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
+  return ec == std::errc() && ptr == end;
 }
 
 FaultPlan::FaultPlan(FaultProfile profile, std::uint64_t seed, int nprocs)

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -82,6 +83,10 @@ struct FaultProfile {
 /// Aborts on an unknown name.
 FaultProfile make_fault_profile(const std::string& name);
 [[nodiscard]] bool is_fault_profile(const std::string& name);
+
+/// Parse a --fault-seed value: a non-empty run of decimal digits that fits
+/// in 64 bits. False on anything else (a sign, spaces, trailing text).
+[[nodiscard]] bool parse_fault_seed(std::string_view text, std::uint64_t& seed);
 
 /// The wire-level fate of one message transmission.
 struct WireFate {

@@ -12,6 +12,13 @@ using util::ByteWriter;
 
 namespace {
 
+/// Fraction of the load gap pushed per exchange (classic alpha).
+constexpr double kAlpha = 0.5;
+/// Minimum relative load change before re-announcing to neighbours.
+constexpr double kAnnounceHysteresis = 0.25;
+/// Minimum absolute load gap worth acting on.
+constexpr double kMinGap = 1.0;
+
 bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
 }  // namespace
@@ -37,8 +44,7 @@ void DiffusionPolicy::announce_if_changed(PolicyContext& ctx) {
   const double load = ctx.local_load();
   if (announced_) {
     const double delta = std::abs(load - last_announced_);
-    const double floor =
-        std::max(params_.min_gap, params_.announce_hysteresis * last_announced_);
+    const double floor = std::max(kMinGap, kAnnounceHysteresis * last_announced_);
     if (delta < floor) return;
   }
   announced_ = true;
@@ -54,8 +60,8 @@ void DiffusionPolicy::push_towards(PolicyContext& ctx, ProcId neighbor) {
   const double mine = ctx.local_load();
   const double theirs = it->second;
   const double gap = mine - theirs;
-  if (gap < 2 * params_.min_gap || mine <= ctx.donate_threshold()) return;
-  const double quota = params_.alpha * gap / 2.0;
+  if (gap < 2 * kMinGap || mine <= ctx.donate_threshold()) return;
+  const double quota = kAlpha * gap / 2.0;
   auto objects = ctx.migratable();
   std::reverse(objects.begin(), objects.end());  // lightest first
   double moved = 0.0;

@@ -14,19 +14,8 @@
 
 namespace prema::ilb {
 
-struct DiffusionParams {
-  /// Fraction of the load gap pushed per exchange (classic alpha).
-  double alpha = 0.5;
-  /// Minimum relative load change before re-announcing to neighbours.
-  double announce_hysteresis = 0.25;
-  /// Minimum absolute load gap worth acting on.
-  double min_gap = 1.0;
-};
-
 class DiffusionPolicy final : public StatelessPolicy {
  public:
-  explicit DiffusionPolicy(DiffusionParams params = {}) : params_(params) {}
-
   [[nodiscard]] std::string_view name() const override { return "diffusion"; }
   void init(PolicyContext& ctx) override;
   void on_poll(PolicyContext& ctx) override;
@@ -41,7 +30,6 @@ class DiffusionPolicy final : public StatelessPolicy {
   void announce_if_changed(PolicyContext& ctx);
   void push_towards(PolicyContext& ctx, ProcId neighbor);
 
-  DiffusionParams params_;
   std::vector<ProcId> neighbors_;
   std::unordered_map<ProcId, double> neighbor_load_;
   /// Explicit first-announcement flag: the load itself is not a usable

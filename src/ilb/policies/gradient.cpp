@@ -9,6 +9,16 @@ namespace prema::ilb {
 using util::ByteReader;
 using util::ByteWriter;
 
+namespace {
+
+/// Fraction of the surplus above the donate threshold moved per transfer.
+constexpr double kTransferFraction = 0.5;
+/// Minimum spacing between a node's proximity announcements (damps the
+/// distance-vector count-up storms; deferred changes coalesce).
+constexpr double kAnnounceIntervalS = 20e-3;
+
+}  // namespace
+
 std::uint32_t GradientPolicy::infinity(const PolicyContext& ctx) const {
   return static_cast<std::uint32_t>(ctx.nprocs());
 }
@@ -44,8 +54,8 @@ void GradientPolicy::refresh(PolicyContext& ctx, bool allow_increase) {
   // wakeup's announcement.
   (void)allow_increase;
   const double now = ctx.now();
-  if (announced_once_ && now - last_announce_ < params_.announce_interval_s) {
-    ctx.request_poll_after(params_.announce_interval_s - (now - last_announce_));
+  if (announced_once_ && now - last_announce_ < kAnnounceIntervalS) {
+    ctx.request_poll_after(kAnnounceIntervalS - (now - last_announce_));
     return;
   }
   announced_once_ = true;
@@ -71,7 +81,7 @@ void GradientPolicy::maybe_push(PolicyContext& ctx) {
     }
   }
   if (best_n == kNoProc) return;
-  const double quota = params_.transfer_fraction * (mine - ctx.donate_threshold());
+  const double quota = kTransferFraction * (mine - ctx.donate_threshold());
   auto objects = ctx.migratable();
   std::reverse(objects.begin(), objects.end());  // lightest first
   double moved = 0.0;

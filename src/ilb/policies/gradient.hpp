@@ -14,18 +14,8 @@
 
 namespace prema::ilb {
 
-struct GradientParams {
-  /// Fraction of the surplus above the donate threshold moved per transfer.
-  double transfer_fraction = 0.5;
-  /// Minimum spacing between a node's proximity announcements (damps the
-  /// distance-vector count-up storms; deferred changes coalesce).
-  double announce_interval_s = 20e-3;
-};
-
 class GradientPolicy final : public StatelessPolicy {
  public:
-  explicit GradientPolicy(GradientParams params = {}) : params_(params) {}
-
   [[nodiscard]] std::string_view name() const override { return "gradient"; }
   void init(PolicyContext& ctx) override;
   void on_poll(PolicyContext& ctx) override;
@@ -43,7 +33,6 @@ class GradientPolicy final : public StatelessPolicy {
   void refresh(PolicyContext& ctx, bool allow_increase);
   void maybe_push(PolicyContext& ctx);
 
-  GradientParams params_;
   std::vector<ProcId> neighbors_;
   std::unordered_map<ProcId, std::uint32_t> neighbor_prox_;
   std::uint32_t proximity_ = 0;

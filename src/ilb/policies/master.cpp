@@ -10,6 +10,13 @@ namespace prema::ilb {
 using util::ByteReader;
 using util::ByteWriter;
 
+namespace {
+
+/// Minimum relative load change before re-reporting to the manager.
+constexpr double kReportHysteresis = 0.3;
+
+}  // namespace
+
 void MasterPolicy::init(PolicyContext& ctx) {
   if (ctx.rank() == 0) {
     loads_.assign(static_cast<std::size_t>(ctx.nprocs()), 0.0);
@@ -29,7 +36,7 @@ void MasterPolicy::on_poll(PolicyContext& ctx) {
 void MasterPolicy::report_if_changed(PolicyContext& ctx) {
   const double load = ctx.local_load();
   if (last_reported_ >= 0.0) {
-    const double floor = std::max(1.0, params_.report_hysteresis * last_reported_);
+    const double floor = std::max(1.0, kReportHysteresis * last_reported_);
     if (std::abs(load - last_reported_) < floor) return;
   }
   last_reported_ = load;

@@ -15,15 +15,8 @@
 
 namespace prema::ilb {
 
-struct MasterParams {
-  /// Minimum relative load change before re-reporting to the manager.
-  double report_hysteresis = 0.3;
-};
-
 class MasterPolicy final : public StatelessPolicy {
  public:
-  explicit MasterPolicy(MasterParams params = {}) : params_(params) {}
-
   [[nodiscard]] std::string_view name() const override { return "master"; }
   void init(PolicyContext& ctx) override;
   void on_poll(PolicyContext& ctx) override;
@@ -39,7 +32,6 @@ class MasterPolicy final : public StatelessPolicy {
   void report_if_changed(PolicyContext& ctx);
   void serve_pending(PolicyContext& ctx);  // manager side
 
-  MasterParams params_;
   double last_reported_ = -1.0;
   bool needwork_sent_ = false;
 

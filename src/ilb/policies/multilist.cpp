@@ -10,23 +10,25 @@ namespace prema::ilb {
 using util::ByteReader;
 using util::ByteWriter;
 
-int MultiListPolicy::group_size(const PolicyContext& ctx) const {
-  if (params_.group_size > 0) return params_.group_size;
-  return std::max(2, static_cast<int>(std::ceil(std::sqrt(ctx.nprocs()))));
-}
+namespace {
 
-ProcId MultiListPolicy::leader_of(ProcId p, const PolicyContext& ctx) const {
-  return (p / group_size(ctx)) * group_size(ctx);
-}
+/// Minimum relative load change before re-reporting to the leader.
+constexpr double kReportHysteresis = 0.3;
+
+}  // namespace
 
 void MultiListPolicy::init(PolicyContext& ctx) {
-  leader_ = leader_of(ctx.rank(), ctx);
+  // Groups of ceil(sqrt(nprocs)) consecutive ranks (at least 2), each led
+  // by its lowest rank.
+  const int group_size =
+      std::max(2, static_cast<int>(std::ceil(std::sqrt(ctx.nprocs()))));
+  leader_ = (ctx.rank() / group_size) * group_size;
 }
 
 void MultiListPolicy::report_if_changed(PolicyContext& ctx) {
   const double load = ctx.local_load();
   if (last_reported_ >= 0.0) {
-    const double floor = std::max(1.0, params_.report_hysteresis * last_reported_);
+    const double floor = std::max(1.0, kReportHysteresis * last_reported_);
     if (std::abs(load - last_reported_) < floor) return;
   }
   last_reported_ = load;
@@ -110,7 +112,7 @@ void MultiListPolicy::leader_report_group(PolicyContext& ctx) {
   if (ctx.rank() != leader_) return;
   double total = 0.0;
   for (const auto& [p, l] : member_load_) total += l;
-  const double floor = std::max(1.0, params_.report_hysteresis *
+  const double floor = std::max(1.0, kReportHysteresis *
                                          std::max(0.0, last_group_reported_));
   if (last_group_reported_ >= 0.0 && std::abs(total - last_group_reported_) < floor) {
     return;

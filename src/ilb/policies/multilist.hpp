@@ -16,17 +16,8 @@
 
 namespace prema::ilb {
 
-struct MultiListParams {
-  /// Group size; 0 = ceil(sqrt(nprocs)).
-  int group_size = 0;
-  /// Minimum relative load change before re-reporting to the leader.
-  double report_hysteresis = 0.3;
-};
-
 class MultiListPolicy final : public StatelessPolicy {
  public:
-  explicit MultiListPolicy(MultiListParams params = {}) : params_(params) {}
-
   [[nodiscard]] std::string_view name() const override { return "multilist"; }
   void init(PolicyContext& ctx) override;
   void on_poll(PolicyContext& ctx) override;
@@ -44,15 +35,12 @@ class MultiListPolicy final : public StatelessPolicy {
   static constexpr PolicyTag kAskGlobal = 5;   ///< leader -> coordinator {needy}
   static constexpr PolicyTag kPushGroup = 6;   ///< coordinator -> donor leader {needy}
 
-  [[nodiscard]] int group_size(const PolicyContext& ctx) const;
-  [[nodiscard]] ProcId leader_of(ProcId p, const PolicyContext& ctx) const;
   void report_if_changed(PolicyContext& ctx);
   void leader_serve(PolicyContext& ctx);
   void leader_report_group(PolicyContext& ctx);
   void coordinator_serve(PolicyContext& ctx);
   void donate_to(PolicyContext& ctx, ProcId needy, double needy_load);
 
-  MultiListParams params_;
   ProcId leader_ = 0;
   double last_reported_ = -1.0;
   bool asked_ = false;

@@ -7,6 +7,27 @@ namespace prema::ilb {
 using util::ByteReader;
 using util::ByteWriter;
 
+namespace {
+
+/// Histogram report cadence per processor (also the poll re-arm period).
+constexpr double kReportIntervalS = 10e-3;
+/// Recut only when max-rank-load / mean-rank-load exceeds this.
+constexpr double kRecutThreshold = 1.05;
+/// ...and only when the proposed cuts beat the current placement by a
+/// real margin (proposed imbalance < factor * current imbalance), so
+/// bucket-quantization wobble can't keep re-shipping boundary buckets.
+constexpr double kImprovementFactor = 0.95;
+/// Minimum spacing between recuts. Shipped objects are invisible to load
+/// reports while in transit, so deciding again before the previous wave
+/// lands would chase a phantom imbalance of its own making.
+constexpr double kMinRecutIntervalS = 100e-3;
+/// Stop re-arming the poll timer after this many consecutive reports with
+/// zero local load (lets run-to-quiescence workloads terminate); any new
+/// work re-arms.
+constexpr int kMaxIdleReports = 3;
+
+}  // namespace
+
 void SfcPolicy::init(PolicyContext& ctx) {
   next_report_ = ctx.now();
   next_recut_ = ctx.now();
@@ -16,9 +37,8 @@ void SfcPolicy::init(PolicyContext& ctx) {
 std::uint32_t SfcPolicy::bucket_of(PolicyContext& ctx,
                                    const mol::MobilePtr& ptr) const {
   if (const auto c = ctx.object_coords(ptr)) {
-    const std::uint64_t key =
-        params_.hilbert ? hilbert_key(*c, params_.box) : morton_key(*c, params_.box);
-    return static_cast<std::uint32_t>(key >> (3 * kSfcBitsPerDim - kBucketBits));
+    return static_cast<std::uint32_t>(hilbert_key(*c) >>
+                                      (3 * kSfcBitsPerDim - kBucketBits));
   }
   // No coordinates registered: hash the mobile pointer to a stable bucket so
   // the object has a fixed place on the curve (Knuth multiplicative hash).
@@ -31,19 +51,19 @@ std::uint32_t SfcPolicy::bucket_of(PolicyContext& ctx,
 void SfcPolicy::on_poll(PolicyContext& ctx) {
   const double t = ctx.now();
   if (t >= next_report_) {
-    next_report_ = t + params_.report_interval_s;
+    next_report_ = t + kReportIntervalS;
     report(ctx);
     if (ctx.rank() == 0) maybe_recut(ctx);
   }
   // Keep the cadence alive while the machine has work; go quiet after a few
   // idle reports so run-to-quiescence workloads can terminate.
-  if (idle_reports_ < params_.max_idle_reports) {
-    ctx.request_poll_after(params_.report_interval_s);
+  if (idle_reports_ < kMaxIdleReports) {
+    ctx.request_poll_after(kReportIntervalS);
   }
 }
 
 void SfcPolicy::on_work_arrived(PolicyContext& ctx) {
-  if (idle_reports_ >= params_.max_idle_reports) {
+  if (idle_reports_ >= kMaxIdleReports) {
     idle_reports_ = 0;
     ctx.request_poll_after(0.0);
   }
@@ -79,7 +99,7 @@ void SfcPolicy::report(PolicyContext& ctx) {
 void SfcPolicy::maybe_recut(PolicyContext& ctx) {
   // Wait until every rank has reported at least once since the last cut:
   // recutting from a partial picture migrates against stale load. Also let
-  // the previous wave of shipments land first (min_recut_interval_s) — an
+  // the previous wave of shipments land first (kMinRecutIntervalS) — an
   // object in transit is on nobody's report, so back-to-back decisions
   // would chase the hole the last decision made.
   if (static_cast<int>(reports_.size()) < ctx.nprocs()) return;
@@ -125,10 +145,10 @@ void SfcPolicy::maybe_recut(PolicyContext& ctx) {
   // quantization alone exceeds the threshold (small shares near the drain
   // tail) every report round would re-ship the boundary buckets.
   const double current_imbalance = current_max / share;
-  if (current_imbalance <= params_.recut_threshold) return;
+  if (current_imbalance <= kRecutThreshold) return;
   // Require a real improvement margin, not just any improvement.
-  if (imbalance >= params_.improvement_factor * current_imbalance) return;
-  next_recut_ = ctx.now() + params_.min_recut_interval_s;
+  if (imbalance >= kImprovementFactor * current_imbalance) return;
+  next_recut_ = ctx.now() + kMinRecutIntervalS;
 
   ++stats_.cuts_broadcast;
   ctx.trace_sfc_cut(static_cast<std::size_t>(nprocs), imbalance);

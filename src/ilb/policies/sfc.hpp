@@ -9,11 +9,11 @@
 
 /// \file sfc.hpp
 /// Space-filling-curve curve-cut rebalancing (Eibl & Rüde, arXiv:1808.00829):
-/// every object gets a 1-D key from its spatial coordinates (Morton or
-/// Hilbert order), the global load is prefix-summed along the curve, and the
-/// curve is cut into nprocs equal-load segments; each processor then ships
-/// its out-of-segment objects to the segment owner. Locality comes for free —
-/// a curve segment is a spatially compact blob.
+/// every object gets a 1-D key from its spatial coordinates (Hilbert order),
+/// the global load is prefix-summed along the curve, and the curve is cut
+/// into nprocs equal-load segments; each processor then ships its
+/// out-of-segment objects to the segment owner. Locality comes for free — a
+/// curve segment is a spatially compact blob.
 ///
 /// Distributed realization: processors periodically report a sparse
 /// key-bucket load histogram to a coordinator (rank 0); the coordinator
@@ -22,30 +22,6 @@
 /// a deterministic bucket so they still land somewhere stable.
 
 namespace prema::ilb {
-
-struct SfcParams {
-  /// Use Hilbert keys (true) or Morton keys (false).
-  bool hilbert = true;
-  /// Coordinate normalization box; applications registering coordinates
-  /// outside it are clamped to the faces. Default unit cube.
-  SfcBox box{{0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}};
-  /// Histogram report cadence per processor (also the poll re-arm period).
-  double report_interval_s = 10e-3;
-  /// Recut only when max-rank-load / mean-rank-load exceeds this.
-  double recut_threshold = 1.05;
-  /// ...and only when the proposed cuts beat the current placement by a
-  /// real margin (proposed imbalance < factor * current imbalance), so
-  /// bucket-quantization wobble can't keep re-shipping boundary buckets.
-  double improvement_factor = 0.95;
-  /// Minimum spacing between recuts. Shipped objects are invisible to load
-  /// reports while in transit, so deciding again before the previous wave
-  /// lands would chase a phantom imbalance of its own making.
-  double min_recut_interval_s = 100e-3;
-  /// Stop re-arming the poll timer after this many consecutive reports with
-  /// zero local load (lets run-to-quiescence workloads terminate); any new
-  /// work re-arms.
-  int max_idle_reports = 3;
-};
 
 class SfcPolicy final : public Policy {
  public:
@@ -60,8 +36,6 @@ class SfcPolicy final : public Policy {
   /// (~6.7 levels) resolves ~100 cells along a line.
   static constexpr int kBucketBits = 20;
   static constexpr std::uint32_t kBuckets = 1u << kBucketBits;
-
-  explicit SfcPolicy(SfcParams params = {}) : params_(params) {}
 
   [[nodiscard]] std::string_view name() const override { return "sfc"; }
   [[nodiscard]] bool wants_topology() const override { return true; }
@@ -95,7 +69,6 @@ class SfcPolicy final : public Policy {
   /// The rank owning `bucket` under the current cut table.
   [[nodiscard]] ProcId owner_of(std::uint32_t bucket) const;
 
-  SfcParams params_;
   Stats stats_;
   double next_report_ = 0.0;
   double next_recut_ = 0.0;  ///< coordinator only

@@ -9,6 +9,18 @@ namespace prema::ilb {
 using util::ByteReader;
 using util::ByteWriter;
 
+namespace {
+
+/// Fraction of the load gap the donor tries to hand over per grant.
+constexpr double kGrantFraction = 0.5;
+/// First dormant-retry delay; doubles per dormant round.
+constexpr double kDormantBackoffS = 25e-3;
+/// Dormant retries before giving up entirely (bounds the message tail when
+/// no quiescence detector is running to cut it short).
+constexpr int kMaxDormantRounds = 8;
+
+}  // namespace
+
 void WorkStealingPolicy::init(PolicyContext& ctx) {
   // Initial pairing: neighbour by rank-flip, as in paired work stealing.
   partner_ = ctx.rank() ^ 1;
@@ -18,7 +30,7 @@ void WorkStealingPolicy::init(PolicyContext& ctx) {
 
 void WorkStealingPolicy::on_poll(PolicyContext& ctx) {
   if (passive_ && ctx.now() >= dormant_until_ &&
-      dormant_rounds_ <= params_.max_dormant_rounds &&
+      dormant_rounds_ <= kMaxDormantRounds &&
       ctx.local_load() < ctx.low_watermark()) {
     // The dormant-retry period elapsed: resume begging at a fresh partner.
     passive_ = false;
@@ -69,7 +81,7 @@ void WorkStealingPolicy::handle_request(PolicyContext& ctx, ProcId from,
     deny();
     return;
   }
-  const double target = params_.grant_fraction * (mine - their_load);
+  const double target = kGrantFraction * (mine - their_load);
   auto objects = ctx.migratable();  // heaviest first
   if (objects.empty()) {
     deny();
@@ -114,7 +126,7 @@ void WorkStealingPolicy::on_message(PolicyContext& ctx, ProcId from, PolicyTag t
         }
         partner_ = next;
       }
-      if (consecutive_denials_ >= params_.passive_after_denials) {
+      if (consecutive_denials_ >= kPassiveAfterDenials) {
         // Everyone we asked was dry: go dormant, but wake up occasionally —
         // loads change. Dormant rounds back off geometrically and are capped
         // so a finished machine eventually goes fully quiet.
@@ -122,9 +134,9 @@ void WorkStealingPolicy::on_message(PolicyContext& ctx, ProcId from, PolicyTag t
         consecutive_denials_ = 0;
         ++stats_.went_passive;
         ++dormant_rounds_;
-        if (dormant_rounds_ <= params_.max_dormant_rounds) {
-          const double delay = params_.dormant_backoff_s *
-                               static_cast<double>(1 << std::min(dormant_rounds_, 10));
+        if (dormant_rounds_ <= kMaxDormantRounds) {
+          const double delay =
+              kDormantBackoffS * static_cast<double>(1 << std::min(dormant_rounds_, 10));
           dormant_until_ = ctx.now() + delay;
           ctx.request_poll_after(delay);
         } else {

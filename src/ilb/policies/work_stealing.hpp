@@ -15,17 +15,6 @@
 namespace prema::ilb {
 
 struct WorkStealingParams {
-  /// Fraction of the load gap the donor tries to hand over per grant.
-  double grant_fraction = 0.5;
-  /// Consecutive denials before the requester goes dormant (paper: the
-  /// requester "may choose another partner" on denial — retries are
-  /// immediate until this limit).
-  int passive_after_denials = 16;
-  /// First dormant-retry delay; doubles per dormant round.
-  double dormant_backoff_s = 25e-3;
-  /// Dormant retries before giving up entirely (bounds the message tail when
-  /// no quiescence detector is running to cut it short).
-  int max_dormant_rounds = 8;
   /// Cap on objects per grant (the paper notes coarse-grained applications
   /// may migrate a single object at a time).
   std::size_t max_objects_per_grant = SIZE_MAX;
@@ -33,6 +22,11 @@ struct WorkStealingParams {
 
 class WorkStealingPolicy final : public StatelessPolicy {
  public:
+  /// Consecutive denials before the requester goes dormant (paper: the
+  /// requester "may choose another partner" on denial — retries are
+  /// immediate until this limit).
+  static constexpr int kPassiveAfterDenials = 16;
+
   explicit WorkStealingPolicy(WorkStealingParams params = {}) : params_(params) {}
 
   [[nodiscard]] std::string_view name() const override { return "work_stealing"; }

@@ -6,32 +6,14 @@ namespace prema::ilb {
 
 namespace {
 
-/// Spread the low 21 bits of `v` so bit i moves to bit 3i.
-std::uint64_t spread3(std::uint32_t v) {
-  std::uint64_t x = v & kSfcCellMax;
-  x = (x | (x << 32)) & 0x1f00000000ffffULL;
-  x = (x | (x << 16)) & 0x1f0000ff0000ffULL;
-  x = (x | (x << 8)) & 0x100f00f00f00f00fULL;
-  x = (x | (x << 4)) & 0x10c30c30c30c30c3ULL;
-  x = (x | (x << 2)) & 0x1249249249249249ULL;
-  return x;
-}
-
-/// Map one coordinate into [0, kSfcCellMax] within the box extent.
-std::uint32_t to_cell(double v, double lo, double hi) {
-  if (!(hi > lo)) return 0;  // degenerate axis (or NaN extent): one cell
-  double f = (v - lo) / (hi - lo);
-  f = std::clamp(f, 0.0, 1.0);
+/// Map one coordinate into [0, kSfcCellMax]: the unit interval, clamped.
+std::uint32_t to_cell(double v) {
+  const double f = std::clamp(v, 0.0, 1.0);
   const auto cell = static_cast<std::uint64_t>(f * static_cast<double>(kSfcCellMax + 1ull));
   return static_cast<std::uint32_t>(std::min<std::uint64_t>(cell, kSfcCellMax));
 }
 
 }  // namespace
-
-std::uint64_t morton_from_cells(std::uint32_t x, std::uint32_t y,
-                                std::uint32_t z) {
-  return spread3(x) | (spread3(y) << 1) | (spread3(z) << 2);
-}
 
 std::uint64_t hilbert_from_cells(std::uint32_t x, std::uint32_t y,
                                  std::uint32_t z) {
@@ -75,16 +57,8 @@ std::uint64_t hilbert_from_cells(std::uint32_t x, std::uint32_t y,
   return key;
 }
 
-std::uint64_t morton_key(const mol::Coords& c, const SfcBox& box) {
-  return morton_from_cells(to_cell(c.x, box.min.x, box.max.x),
-                           to_cell(c.y, box.min.y, box.max.y),
-                           to_cell(c.z, box.min.z, box.max.z));
-}
-
-std::uint64_t hilbert_key(const mol::Coords& c, const SfcBox& box) {
-  return hilbert_from_cells(to_cell(c.x, box.min.x, box.max.x),
-                            to_cell(c.y, box.min.y, box.max.y),
-                            to_cell(c.z, box.min.z, box.max.z));
+std::uint64_t hilbert_key(const mol::Coords& c) {
+  return hilbert_from_cells(to_cell(c.x), to_cell(c.y), to_cell(c.z));
 }
 
 }  // namespace prema::ilb

@@ -8,6 +8,15 @@
 
 namespace prema::mesh {
 
+namespace {
+
+/// Initial candidate-search radius as a multiple of the local face size.
+constexpr double kSearchFactor = 2.0;
+/// Hard cap on front steps relative to the point count (safety valve).
+constexpr std::int64_t kMaxStepsPerPoint = 64;
+
+}  // namespace
+
 double TetMesh::total_volume() const {
   double vol = 0.0;
   for (const auto& t : tets) {
@@ -48,9 +57,7 @@ std::uint64_t AdvancingFront::face_key(const Face& f) {
 }
 
 AdvancingFront::AdvancingFront(std::vector<Vec3> points,
-                               std::vector<Face> boundary_faces,
-                               AftOptions options)
-    : opts_(options) {
+                               std::vector<Face> boundary_faces) {
   mesh_.points = std::move(points);
   PREMA_CHECK_MSG(!mesh_.points.empty(), "mesher needs points");
   Vec3 lo = mesh_.points[0], hi = mesh_.points[0];
@@ -132,7 +139,7 @@ PointId AdvancingFront::delaunay_apex(const Face& f) {
     }
   };
 
-  double radius = opts_.search_factor * local;
+  double radius = kSearchFactor * local;
   while (best < 0 && radius < 4.0 * domain_diag_) {
     idx_->points.for_each_in_ball(centroid, radius, consider);
     radius *= 2.0;
@@ -197,7 +204,7 @@ bool AdvancingFront::commit_tet(const Face& f, PointId apex) {
 
 AftStats AdvancingFront::run() {
   const std::int64_t max_steps =
-      opts_.max_steps_per_point *
+      kMaxStepsPerPoint *
       static_cast<std::int64_t>(std::max<std::size_t>(mesh_.points.size(), 1));
   auto heap_cmp = [this](std::size_t x, std::size_t y) {
     return faces_[x].area > faces_[y].area;

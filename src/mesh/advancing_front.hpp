@@ -37,13 +37,6 @@ struct TetMesh {
   [[nodiscard]] double min_quality() const;
 };
 
-struct AftOptions {
-  /// Initial candidate-search radius as a multiple of the local face size.
-  double search_factor = 2.0;
-  /// Hard cap on front steps relative to the point count (safety valve).
-  std::int64_t max_steps_per_point = 64;
-};
-
 struct AftStats {
   std::int64_t faces_processed = 0;
   std::int64_t tets_created = 0;
@@ -57,8 +50,7 @@ class AdvancingFront {
   /// Steiner points). `boundary_faces`: a closed oriented surface over the
   /// boundary points whose normals (right-hand rule) point INTO the volume.
   /// Points must be in general position — use the jittered generators below.
-  AdvancingFront(std::vector<Vec3> points, std::vector<Face> boundary_faces,
-                 AftOptions options = {});
+  AdvancingFront(std::vector<Vec3> points, std::vector<Face> boundary_faces);
   ~AdvancingFront();
 
   /// March to completion (or the safety cap). The mesh is in mesh().
@@ -95,7 +87,6 @@ class AdvancingFront {
   class SpatialIndexes;
   std::unique_ptr<SpatialIndexes> idx_;
 
-  AftOptions opts_;
   TetMesh mesh_;
   AftStats stats_;
   double domain_diag_ = 1.0;

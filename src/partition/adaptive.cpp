@@ -72,26 +72,20 @@ Partition remap_labels(const CsrGraph& g, const Partition& old_part,
 AdaptiveResult adaptive_repartition(const CsrGraph& g, const Partition& old_part,
                                     const AdaptiveOptions& opts) {
   PREMA_CHECK(old_part.size() == static_cast<std::size_t>(g.num_vertices()));
-  RefineOptions ropts;
-  ropts.imbalance_tolerance = opts.imbalance_tolerance;
-  ropts.max_passes = opts.refine_passes;
-  ropts.alpha = opts.alpha;
 
   // Candidate 1: scratch-remap. Partition from scratch, then relabel to sit
   // as close to the old assignment as possible.
   PartitionOptions popts;
   popts.k = opts.k;
-  popts.imbalance_tolerance = opts.imbalance_tolerance;
   popts.seed = opts.seed;
-  popts.refine_passes = opts.refine_passes;
   Partition scratch = remap_labels(g, old_part, multilevel_kway(g, popts), opts.k);
 
   // Candidate 2: diffusive. Start from the old partition, push weight out of
   // overloaded parts, then refine with alpha-weighted gains anchored at the
   // old assignment (so needless movement is penalized).
   Partition diffusive = old_part;
-  rebalance_kway(g, diffusive, opts.k, ropts);
-  refine_kway(g, diffusive, opts.k, ropts, &old_part);
+  rebalance_kway(g, diffusive, opts.k);
+  refine_kway(g, diffusive, opts.k, &old_part, opts.alpha);
 
   const double cost_scratch =
       graph::unified_cost(g, old_part, scratch, opts.alpha);
@@ -102,7 +96,7 @@ AdaptiveResult adaptive_repartition(const CsrGraph& g, const Partition& old_part
 
   // Prefer the cheaper candidate among those meeting the balance tolerance;
   // if neither is balanced, prefer the more balanced one.
-  const double tol = opts.imbalance_tolerance + 1e-9;
+  const double tol = kImbalanceTolerance + 1e-9;
   bool pick_scratch;
   if (bal_scratch <= tol && bal_diffusive <= tol) {
     pick_scratch = cost_scratch < cost_diffusive;

@@ -17,9 +17,7 @@ struct AdaptiveOptions {
   int k = 2;
   /// Relative Cost Factor (alpha) in |Ecut| + alpha * |Vmove|.
   double alpha = 1.0;
-  double imbalance_tolerance = 1.05;
   std::uint64_t seed = 0x51CEDULL;
-  int refine_passes = 8;
 };
 
 struct AdaptiveResult {

@@ -41,16 +41,21 @@ Partition lpt_partition(const CsrGraph& g, int k) {
 
 namespace {
 
+/// Coarsen until at most max(kCoarseFactor * k, 64) vertices remain.
+constexpr int kCoarseFactor = 16;
+/// Independent graph-growing attempts per bisection; best cut wins.
+constexpr int kGrowingAttempts = 4;
+
 /// 2-way split by graph growing: BFS-grow a region from a random seed,
 /// preferring the frontier vertex most connected to the region, until the
 /// region holds `target_fraction` of the total weight. Side 0 = region.
 Partition grow_bisection(const CsrGraph& g, double target_fraction,
-                         util::Rng& rng, int attempts) {
+                         util::Rng& rng) {
   const VertexId n = g.num_vertices();
   const double target = g.total_vertex_weight() * target_fraction;
   Partition best;
   double best_cut = 0.0;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kGrowingAttempts; ++attempt) {
     Partition part(static_cast<std::size_t>(n), 1);
     const auto seed = static_cast<VertexId>(rng.below(static_cast<std::uint64_t>(n)));
     // gain[v] = connectivity to the grown region; -1 = already inside.
@@ -95,8 +100,7 @@ Partition grow_bisection(const CsrGraph& g, double target_fraction,
 /// Recursive bisection into k parts; labels written into `out` restricted to
 /// the vertex set `vertices` (global ids), using labels [label0, label0 + k).
 void recursive_bisect(const CsrGraph& g, const std::vector<VertexId>& vertices,
-                      int k, int label0, Partition& out, util::Rng& rng,
-                      const PartitionOptions& opts) {
+                      int k, int label0, Partition& out, util::Rng& rng) {
   if (k == 1) {
     for (const VertexId v : vertices) out[static_cast<std::size_t>(v)] = label0;
     return;
@@ -128,15 +132,11 @@ void recursive_bisect(const CsrGraph& g, const std::vector<VertexId>& vertices,
     // lpt gives two balanced halves; rescale to the k0:k1 target by a
     // rebalance pass below if needed.
   } else {
-    split = grow_bisection(sub, static_cast<double>(k0) / k, rng,
-                           opts.growing_attempts);
+    split = grow_bisection(sub, static_cast<double>(k0) / k, rng);
   }
-  RefineOptions ropts;
-  ropts.imbalance_tolerance = opts.imbalance_tolerance;
-  ropts.max_passes = opts.refine_passes;
   // Two-way refinement with the k0:k1 weight target handled by tolerance on
   // the two-part view (approximation: tolerate the ratio).
-  refine_kway(sub, split, 2, ropts);
+  refine_kway(sub, split, 2);
 
   std::vector<VertexId> side0, side1;
   for (std::size_t i = 0; i < vertices.size(); ++i) {
@@ -151,8 +151,8 @@ void recursive_bisect(const CsrGraph& g, const std::vector<VertexId>& vertices,
       (split[i] == 0 ? side0 : side1).push_back(vertices[i]);
     }
   }
-  recursive_bisect(g, side0, k0, label0, out, rng, opts);
-  recursive_bisect(g, side1, k1, label0 + k0, out, rng, opts);
+  recursive_bisect(g, side0, k0, label0, out, rng);
+  recursive_bisect(g, side1, k1, label0 + k0, out, rng);
 }
 
 }  // namespace
@@ -168,7 +168,7 @@ Partition multilevel_kway(const CsrGraph& g, const PartitionOptions& opts) {
 
   // Coarsen.
   const auto target =
-      static_cast<VertexId>(std::max(64, opts.coarse_factor * opts.k));
+      static_cast<VertexId>(std::max(64, kCoarseFactor * opts.k));
   const auto levels = coarsen_to(g, target, rng);
   const CsrGraph& coarsest = levels.empty() ? g : levels.back().graph;
 
@@ -176,11 +176,7 @@ Partition multilevel_kway(const CsrGraph& g, const PartitionOptions& opts) {
   std::vector<VertexId> all(static_cast<std::size_t>(coarsest.num_vertices()));
   std::iota(all.begin(), all.end(), 0);
   Partition part(static_cast<std::size_t>(coarsest.num_vertices()), 0);
-  recursive_bisect(coarsest, all, opts.k, 0, part, rng, opts);
-
-  RefineOptions ropts;
-  ropts.imbalance_tolerance = opts.imbalance_tolerance;
-  ropts.max_passes = opts.refine_passes;
+  recursive_bisect(coarsest, all, opts.k, 0, part, rng);
 
   // Uncoarsen with refinement at every level.
   for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
@@ -192,12 +188,12 @@ Partition multilevel_kway(const CsrGraph& g, const PartitionOptions& opts) {
           part[static_cast<std::size_t>(it->fine_to_coarse[static_cast<std::size_t>(v)])];
     }
     part = std::move(fine_part);
-    rebalance_kway(fine, part, opts.k, ropts);
-    refine_kway(fine, part, opts.k, ropts);
+    rebalance_kway(fine, part, opts.k);
+    refine_kway(fine, part, opts.k);
   }
   if (levels.empty()) {
-    rebalance_kway(g, part, opts.k, ropts);
-    refine_kway(g, part, opts.k, ropts);
+    rebalance_kway(g, part, opts.k);
+    refine_kway(g, part, opts.k);
   }
   return part;
 }

@@ -14,13 +14,7 @@ namespace prema::part {
 
 struct PartitionOptions {
   int k = 2;
-  double imbalance_tolerance = 1.05;
   std::uint64_t seed = 0x9E3779B9ULL;
-  /// Coarsen until at most max(coarse_factor * k, 64) vertices remain.
-  int coarse_factor = 16;
-  int refine_passes = 8;
-  /// Independent graph-growing attempts per bisection; best cut wins.
-  int growing_attempts = 4;
 };
 
 /// Partition `g` into `opts.k` parts. Handles edgeless graphs (degenerates

@@ -15,6 +15,9 @@ using graph::VertexId;
 
 namespace {
 
+/// Greedy passes over the boundary before giving up.
+constexpr int kRefinePasses = 8;
+
 /// Sum of edge weights from v into each part it touches; returns (weights by
 /// part via out-param map-on-stack, internal weight).
 struct NeighborParts {
@@ -50,15 +53,15 @@ NeighborParts neighbor_parts(const CsrGraph& g, const Partition& part, VertexId 
 
 }  // namespace
 
-int refine_kway(const CsrGraph& g, Partition& part, int k,
-                const RefineOptions& opts, const Partition* anchor) {
+int refine_kway(const CsrGraph& g, Partition& part, int k, const Partition* anchor,
+                double alpha) {
   PREMA_CHECK(part.size() == static_cast<std::size_t>(g.num_vertices()));
   auto weights = graph::part_weights(g, part, k);
   const double mean = g.total_vertex_weight() / k;
-  const double max_weight = mean * opts.imbalance_tolerance;
+  const double max_weight = mean * kImbalanceTolerance;
 
   int total_moves = 0;
-  for (int pass = 0; pass < opts.max_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     int moves = 0;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       const auto from = part[static_cast<std::size_t>(v)];
@@ -75,8 +78,8 @@ int refine_kway(const CsrGraph& g, Partition& part, int k,
         if (anchor != nullptr) {
           const auto home = (*anchor)[static_cast<std::size_t>(v)];
           // Moving toward home refunds migration cost; away charges it.
-          if (to == home && from != home) gain += opts.alpha * g.vertex_weight(v);
-          if (from == home && to != home) gain -= opts.alpha * g.vertex_weight(v);
+          if (to == home && from != home) gain += alpha * g.vertex_weight(v);
+          if (from == home && to != home) gain -= alpha * g.vertex_weight(v);
         }
         if (gain > best_gain + 1e-12) {
           best_gain = gain;
@@ -101,11 +104,10 @@ namespace {
 /// O(n log n) rebalance for graphs without edges (pure number partitioning):
 /// overloaded parts shed their heaviest vertices into a pool, which is then
 /// LPT-assigned to the lightest parts.
-int rebalance_edgeless(const CsrGraph& g, Partition& part, int k,
-                       const RefineOptions& opts) {
+int rebalance_edgeless(const CsrGraph& g, Partition& part, int k) {
   auto weights = graph::part_weights(g, part, k);
   const double mean = g.total_vertex_weight() / k;
-  const double max_weight = mean * opts.imbalance_tolerance;
+  const double max_weight = mean * kImbalanceTolerance;
 
   std::vector<std::vector<VertexId>> members(static_cast<std::size_t>(k));
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -151,13 +153,12 @@ int rebalance_edgeless(const CsrGraph& g, Partition& part, int k,
 
 }  // namespace
 
-int rebalance_kway(const CsrGraph& g, Partition& part, int k,
-                   const RefineOptions& opts) {
+int rebalance_kway(const CsrGraph& g, Partition& part, int k) {
   PREMA_CHECK(part.size() == static_cast<std::size_t>(g.num_vertices()));
-  if (g.num_edges() == 0) return rebalance_edgeless(g, part, k, opts);
+  if (g.num_edges() == 0) return rebalance_edgeless(g, part, k);
   auto weights = graph::part_weights(g, part, k);
   const double mean = g.total_vertex_weight() / k;
-  const double max_weight = mean * opts.imbalance_tolerance;
+  const double max_weight = mean * kImbalanceTolerance;
 
   // Bucket vertices by part once; move out of overweight parts, preferring
   // vertices whose move damages the cut least (or helps it).

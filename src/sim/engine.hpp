@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
-#include "sim/network_model.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 #include "support/time_ledger.hpp"
@@ -33,8 +32,6 @@ struct MachineConfig {
   int nprocs = 128;
   /// Per-processor compute rate in Mflop/s (333 MHz UltraSPARC IIi ~ 333).
   double mflops = 333.0;
-  /// Interconnect cost model.
-  NetworkModel net;
   /// Master seed; every per-proc RNG stream derives from it.
   std::uint64_t seed = 0x5EEDULL;
 

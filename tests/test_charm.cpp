@@ -118,20 +118,6 @@ TEST(Charm, GreedyRebalancesMeasuredLoad) {
   EXPECT_LT(greedy.makespan, 0.85 * none.makespan);
 }
 
-TEST(Charm, RefineMovesLessThanGreedy) {
-  const auto greedy = run_charm(Strategy::kGreedy, 4, 32, 4, 50.0, 10.0, 2);
-  const auto refine = run_charm(Strategy::kRefine, 4, 32, 4, 50.0, 10.0, 2);
-  EXPECT_LE(refine.migrations, greedy.migrations);
-  EXPECT_GT(refine.migrations, 0u);
-}
-
-TEST(Charm, MetisStrategyBalances) {
-  const auto none = run_charm(Strategy::kNone, 4, 16, 4, 100.0, 10.0, 2);
-  const auto metis = run_charm(Strategy::kMetis, 4, 16, 4, 100.0, 10.0, 2);
-  EXPECT_EQ(metis.executions, 32);
-  EXPECT_LT(metis.makespan, 0.9 * none.makespan);
-}
-
 TEST(Charm, RotateMovesEverything) {
   const auto r = run_charm(Strategy::kRotate, 2, 6, 0, 5.0, 5.0, 2);
   // Every chare shifts processors at the single balancing step.

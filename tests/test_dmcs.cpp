@@ -9,6 +9,7 @@
 
 #include "dmcs/sim_machine.hpp"
 #include "dmcs/thread_machine.hpp"
+#include "sim/network_model.hpp"
 #include "support/byte_buffer.hpp"
 
 namespace prema::dmcs {
@@ -93,7 +94,7 @@ TEST(SimDmcs, PingPongRoundTrip) {
   EXPECT_EQ(rec.records[0].rank, 1);
   EXPECT_EQ(rec.records[1].rank, 0);
   // Two one-way trips, each at least the wire latency.
-  EXPECT_GE(makespan, 2 * cfg.net.latency_s);
+  EXPECT_GE(makespan, 2 * sim::net::kLatencyS);
   EXPECT_GT(m.ledger(0).get(TimeCategory::kMessaging), 0.0);
   EXPECT_GT(m.ledger(1).get(TimeCategory::kMessaging), 0.0);
   EXPECT_EQ(m.sim_node(0).stats().sent, 1u);
@@ -194,7 +195,6 @@ TEST(SimDmcs, SilentTicksChargePollingInBulk) {
   PollingConfig polling;
   polling.mode = PollingMode::kPreemptive;
   polling.interval_s = 0.01;
-  polling.silent_tick_cost_s = 1e-6;
   SimMachine m(cfg, polling);
   HandlerId work = m.registry().add("work", [](Node& n, Message&& msg) {
     n.compute_seconds(read_value(msg), TimeCategory::kComputation);
@@ -207,7 +207,8 @@ TEST(SimDmcs, SilentTicksChargePollingInBulk) {
     return prog;
   });
   // ~100 ticks during the 1s unit, none with pending messages.
-  EXPECT_NEAR(m.ledger(0).get(TimeCategory::kPolling), 100e-6, 10e-6);
+  EXPECT_NEAR(m.ledger(0).get(TimeCategory::kPolling), 100 * kSilentPollTickCostS,
+              10 * kSilentPollTickCostS);
 }
 
 TEST(SimDmcs, WorkUnitSendsAreDeferredToCompletion) {

@@ -202,31 +202,29 @@ TEST(ReliableLink, CorruptCopyIsDiscardedWithoutAck) {
 }
 
 TEST(ReliableLink, CumulativeAckClearsPendingAndBackoffDoubles) {
-  dmcs::ReliableConfig cfg;
-  cfg.rto_initial_s = 1.0;
-  cfg.rto_max_s = 8.0;
-  dmcs::ReliableLink link(0, 2, cfg);
+  constexpr double kRto = dmcs::kRtoInitialS;
+  dmcs::ReliableLink link(0, 2);
   Message m0 = data_msg(0, 0);
   Message m1 = data_msg(0, 1);
   link.stamp(1, m0, 0.0);
   link.stamp(1, m1, 0.0);
-  EXPECT_DOUBLE_EQ(link.next_deadline(), 1.0);
+  EXPECT_DOUBLE_EQ(link.next_deadline(), kRto);
   EXPECT_FALSE(link.peer_lossy(1));
 
   // Head-of-window only: both are overdue, but only seq 0 is resent —
   // acks are cumulative, so recovering the head is enough to release
   // everything the receiver buffered behind the gap.
-  auto due = link.due_retransmits(1.5);
+  auto due = link.due_retransmits(1.5 * kRto);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].msg.seq, 0u);
   EXPECT_TRUE(due[0].msg.rflags & Message::kRetransmit);
-  EXPECT_TRUE(link.peer_lossy(1));          // retransmitting = struggling
-  EXPECT_DOUBLE_EQ(link.next_deadline(), 1.5 + 2.0);  // head's rto doubled
-  EXPECT_TRUE(link.due_retransmits(1.6).empty());     // backed off
+  EXPECT_TRUE(link.peer_lossy(1));  // retransmitting = struggling
+  EXPECT_DOUBLE_EQ(link.next_deadline(), 1.5 * kRto + 2.0 * kRto);  // head's rto doubled
+  EXPECT_TRUE(link.due_retransmits(1.6 * kRto).empty());            // backed off
 
   link.on_ack(1, 1);  // peer accepted seq 0; seq 1 becomes the head
   EXPECT_EQ(link.pending_to(1), 1u);
-  auto due2 = link.due_retransmits(1.7);  // new head overdue since 1.0
+  auto due2 = link.due_retransmits(1.7 * kRto);  // new head overdue since kRto
   ASSERT_EQ(due2.size(), 1u);
   EXPECT_EQ(due2[0].msg.seq, 1u);
 
@@ -237,36 +235,34 @@ TEST(ReliableLink, CumulativeAckClearsPendingAndBackoffDoubles) {
 }
 
 TEST(ReliableLink, WireTimeDefersRetransmitDeadline) {
-  dmcs::ReliableConfig cfg;
-  cfg.rto_initial_s = 1.0;
-  dmcs::ReliableLink link(0, 2, cfg);
+  constexpr double kRto = dmcs::kRtoInitialS;
+  dmcs::ReliableLink link(0, 2);
   Message m = data_msg(0, 0);
   link.stamp(1, m, 0.0);
-  EXPECT_DOUBLE_EQ(link.next_deadline(), 1.0);
-  // The copy sat in the link's FIFO and only hit the wire at t=5: the
+  EXPECT_DOUBLE_EQ(link.next_deadline(), kRto);
+  // The copy sat in the link's FIFO and only hit the wire at 5 rto: the
   // timeout must measure the round-trip from there, not from the stamp.
-  link.note_wire_time(1, 0, 5.0);
-  EXPECT_DOUBLE_EQ(link.next_deadline(), 6.0);
-  EXPECT_TRUE(link.due_retransmits(1.5).empty());
-  EXPECT_EQ(link.due_retransmits(6.5).size(), 1u);
+  link.note_wire_time(1, 0, 5 * kRto);
+  EXPECT_DOUBLE_EQ(link.next_deadline(), 5 * kRto + kRto);
+  EXPECT_TRUE(link.due_retransmits(1.5 * kRto).empty());
+  EXPECT_EQ(link.due_retransmits(6.5 * kRto).size(), 1u);
   link.on_ack(1, 1);
-  link.note_wire_time(1, 0, 100.0);  // acked: silently ignored
+  link.note_wire_time(1, 0, 100 * kRto);  // acked: silently ignored
   EXPECT_TRUE(link.quiet());
 }
 
 TEST(ReliableLinkDeathTest, RetryBudgetExhaustionAborts) {
-  dmcs::ReliableConfig cfg;
-  cfg.rto_initial_s = 1.0;
-  cfg.max_retries = 2;
-  dmcs::ReliableLink link(0, 2, cfg);
+  dmcs::ReliableLink link(0, 2);
   Message m = data_msg(0, 0);
   link.stamp(1, m, 0.0);
-  EXPECT_DEATH(
-      {
-        double t = 0.0;
-        for (int i = 0; i < 10; ++i) (void)link.due_retransmits(t += 100.0);
-      },
-      "retry budget exhausted");
+  // Each poll lands past the backed-off deadline, which never exceeds
+  // kRtoMaxS: exactly kMaxRetries timeouts retransmit, the next one aborts.
+  const double step = 2 * dmcs::kRtoMaxS;
+  double t = 0.0;
+  for (int i = 0; i < dmcs::kMaxRetries; ++i) {
+    ASSERT_EQ(link.due_retransmits(t += step).size(), 1u) << "timeout " << i + 1;
+  }
+  EXPECT_DEATH((void)link.due_retransmits(t + step), "retry budget exhausted");
 }
 
 // ---------------------------------------------------------------------------

@@ -276,38 +276,44 @@ TEST(WorkStealing, DeniesWhenPoor) {
 }
 
 TEST(WorkStealing, RotatesPartnerOnDenyAndGoesPassive) {
+  constexpr auto kDenials =
+      static_cast<std::size_t>(WorkStealingPolicy::kPassiveAfterDenials);
   FakeContext ctx(0, 4);
-  WorkStealingParams params;
-  params.passive_after_denials = 2;
-  WorkStealingPolicy p(params);
+  WorkStealingPolicy p;
   p.init(ctx);
   ctx.set_load(0.0);
+  const std::vector<std::uint8_t> empty;
+  // The partner asked last answers with a denial.
+  const auto deny_last = [&] {
+    util::ByteReader r(empty);
+    p.on_message(ctx, ctx.sent_.back().dst, 2, r);
+  };
   p.on_poll(ctx);  // request #1 to partner 1
   ASSERT_EQ(ctx.sent_.size(), 1u);
-  const ProcId first = ctx.sent_[0].dst;
-  std::vector<std::uint8_t> e1; util::ByteReader r1(e1);
-  p.on_message(ctx, first, 2, r1);  // deny -> rotate + immediate retry
-  ASSERT_EQ(ctx.sent_.size(), 2u);
-  EXPECT_NE(ctx.sent_[1].dst, first);
-  std::vector<std::uint8_t> e2; util::ByteReader r2(e2);
-  p.on_message(ctx, ctx.sent_[1].dst, 2, r2);  // deny #2 -> dormant
-  EXPECT_EQ(ctx.sent_.size(), 2u);  // no further request
+  // Every denial short of the limit rotates to a new partner and retries
+  // immediately.
+  for (std::size_t i = 1; i < kDenials; ++i) {
+    deny_last();
+    ASSERT_EQ(ctx.sent_.size(), i + 1);
+    EXPECT_NE(ctx.sent_[i].dst, ctx.sent_[i - 1].dst);
+  }
+  deny_last();  // the last denial -> dormant
+  EXPECT_EQ(ctx.sent_.size(), kDenials);  // no further request
   // Dormancy armed a delayed retry wakeup.
   ASSERT_EQ(ctx.poll_requests_.size(), 1u);
   EXPECT_GT(ctx.poll_requests_[0], 0.0);
   p.on_poll(ctx);
-  EXPECT_EQ(ctx.sent_.size(), 2u);  // still dormant (retry time not reached)
+  EXPECT_EQ(ctx.sent_.size(), kDenials);  // still dormant (retry time not reached)
   p.on_work_arrived(ctx);
   p.on_poll(ctx);
-  EXPECT_EQ(ctx.sent_.size(), 3u);  // begging again
+  EXPECT_EQ(ctx.sent_.size(), kDenials + 1);  // begging again
   EXPECT_EQ(p.stats().went_passive, 1u);
   // A dormant wakeup after the backoff elapses also resumes begging.
-  std::vector<std::uint8_t> e3; util::ByteReader r3(e3);
-  p.on_message(ctx, ctx.sent_[2].dst, 2, r3);
-  p.on_message(ctx, ctx.sent_[3].dst, 2, r3);  // dormant again
+  for (std::size_t i = 0; i < kDenials; ++i) deny_last();  // dormant again
+  EXPECT_EQ(ctx.sent_.size(), 2 * kDenials);
   ctx.now_ = 1e6;  // well past any backoff
   p.on_poll(ctx);
-  EXPECT_EQ(ctx.sent_.size(), 5u);
+  EXPECT_EQ(ctx.sent_.size(), 2 * kDenials + 1);
 }
 
 TEST(WorkStealing, GrantKeepsCushionForDonor) {

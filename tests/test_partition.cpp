@@ -127,21 +127,19 @@ TEST(Refine, ImprovesABadSplit) {
     p[static_cast<std::size_t>(v)] = (v / 16) % 2;
   }
   const double before = graph::edge_cut(g, p);
-  RefineOptions opts;
-  refine_kway(g, p, 2, opts);
+  refine_kway(g, p, 2);
   const double after = graph::edge_cut(g, p);
   EXPECT_LT(after, before);
-  EXPECT_LE(graph::imbalance(g, p, 2), opts.imbalance_tolerance + 1e-9);
+  EXPECT_LE(graph::imbalance(g, p, 2), kImbalanceTolerance + 1e-9);
 }
 
 TEST(Rebalance, FixesOverloadedPart) {
   const CsrGraph g = graph::grid2d(10, 10);
   Partition p(100, 0);
   for (int v = 0; v < 10; ++v) p[static_cast<std::size_t>(v)] = 1;  // 90/10
-  RefineOptions opts;
-  const int moves = rebalance_kway(g, p, 2, opts);
+  const int moves = rebalance_kway(g, p, 2);
   EXPECT_GT(moves, 0);
-  EXPECT_LE(graph::imbalance(g, p, 2), opts.imbalance_tolerance + 1e-9);
+  EXPECT_LE(graph::imbalance(g, p, 2), kImbalanceTolerance + 1e-9);
 }
 
 TEST(RemapLabels, RecoversAPermutation) {

@@ -178,7 +178,6 @@ TEST(ArrivalGenerator, DifferentRanksDrawIndependentStreams) {
 
 TEST(ArrivalGenerator, ClientsStayInTheRanksRange) {
   ArrivalConfig cfg;
-  cfg.num_clients = 1'000'000;
   ArrivalGenerator g(cfg, 5, 16);
   double now = 0.0;
   for (int i = 0; i < 1000; ++i) {

@@ -12,7 +12,7 @@
 #include "prema/runtime.hpp"
 
 /// \file test_topology.cpp
-/// The topology view behind the sfc policy: golden space-filling-curve keys,
+/// The topology view behind the sfc policy: Hilbert-curve keys,
 /// the MOL's per-object coordinate map, and end-to-end runs proving the
 /// coordinates follow migrating objects through the full MOL wire path and
 /// stay off under scalar policies.
@@ -26,33 +26,15 @@ using mol::MobilePtr;
 // Space-filling-curve keys
 // ---------------------------------------------------------------------------
 
-TEST(SfcKey, MortonGoldens) {
-  // Bit i of x lands at key bit 3i, y at 3i+1, z at 3i+2.
-  EXPECT_EQ(ilb::morton_from_cells(0, 0, 0), 0u);
-  EXPECT_EQ(ilb::morton_from_cells(1, 0, 0), 1u);
-  EXPECT_EQ(ilb::morton_from_cells(0, 1, 0), 2u);
-  EXPECT_EQ(ilb::morton_from_cells(0, 0, 1), 4u);
-  // (3,5,7): spread3(3)=0b001001, spread3(5)<<1=0b010000010,
-  // spread3(7)<<2=0b100100100 -> 431.
-  EXPECT_EQ(ilb::morton_from_cells(3, 5, 7), 431u);
-  // Cells beyond the 21-bit grid clamp to the last cell.
-  EXPECT_EQ(ilb::morton_from_cells(~0u, 0, 0),
-            ilb::morton_from_cells(ilb::kSfcCellMax, 0, 0));
-}
-
 TEST(SfcKey, BoxNormalizationAndDegenerateAxes) {
-  const ilb::SfcBox unit{{0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}};
-  EXPECT_EQ(ilb::morton_key({0.0, 0.0, 0.0}, unit), 0u);
-  // Z-order respects octants: the all-low corner precedes the all-high one.
-  EXPECT_LT(ilb::morton_key({0.1, 0.1, 0.1}, unit),
-            ilb::morton_key({0.9, 0.9, 0.9}, unit));
+  // Coordinates normalize in the unit cube, whose origin starts the curve.
+  EXPECT_EQ(ilb::hilbert_key({0.0, 0.0, 0.0}), 0u);
+  // The curve fills the origin's octant first: the all-low corner precedes
+  // the all-high one.
+  EXPECT_LT(ilb::hilbert_key({0.1, 0.1, 0.1}), ilb::hilbert_key({0.9, 0.9, 0.9}));
   // Out-of-box coordinates clamp to the faces instead of wrapping.
-  EXPECT_EQ(ilb::morton_key({-3.0, 0.0, 0.0}, unit),
-            ilb::morton_key({0.0, 0.0, 0.0}, unit));
-  // A degenerate (flat) axis collapses to cell 0: 2-D embeddings work.
-  const ilb::SfcBox flat{{0.0, 0.0, 0.5}, {1.0, 1.0, 0.5}};
-  EXPECT_EQ(ilb::morton_key({0.3, 0.7, 0.1}, flat),
-            ilb::morton_key({0.3, 0.7, 0.9}, flat));
+  EXPECT_EQ(ilb::hilbert_key({-3.0, 0.0, 0.0}), ilb::hilbert_key({0.0, 0.0, 0.0}));
+  EXPECT_EQ(ilb::hilbert_key({0.5, 7.0, 0.5}), ilb::hilbert_key({0.5, 1.0, 0.5}));
 }
 
 TEST(SfcKey, HilbertStartsAtOriginAndVisitsCoarseCellsContiguously) {
