@@ -8,6 +8,7 @@
 #include "bench_support/synthetic.hpp"
 #include "fault/fault_plan.hpp"
 #include "policy_flag.hpp"
+#include "support/parse.hpp"
 
 /// \file figure_main.hpp
 /// Shared driver for the Figure 3-6 reproduction binaries: runs all six
@@ -55,7 +56,7 @@ inline int run_figure(int argc, char** argv, const char* title,
         return 2;
       }
     } else if (std::strncmp(arg, "--fault-seed=", 13) == 0) {
-      if (!fault::parse_fault_seed(arg + 13, cfg.fault_seed)) {
+      if (!util::parse_u64(arg + 13, cfg.fault_seed)) {
         std::cerr << "bad --fault-seed value: " << arg + 13 << "\n";
         return 2;
       }

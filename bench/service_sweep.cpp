@@ -1,9 +1,9 @@
 // Open-loop service mode: continuous load balancing under live traffic.
 // Sweeps offered load (as a fraction of per-processor capacity) across both
 // machine backends and two balancing policies, reporting the tail-latency SLO
-// numbers (p50/p99/p999 sojourn), throughput, and per-node load time-series,
-// plus an elasticity scenario where one node pauses mid-run ("mid-pause")
-// and the delivery audit must still balance arrivals against completions.
+// numbers (p50/p99/p999 sojourn) and throughput, plus an elasticity scenario
+// where one node pauses mid-run ("mid-pause") and the delivery audit must
+// still balance arrivals against completions.
 //
 // Flags: --smoke           short CI-sized windows (same scenario structure)
 //        --out=<path>      JSON report path (default BENCH_service.json)
@@ -16,7 +16,9 @@
 //                          first epoch tick at/after machine time t (repeat
 //                          for a schedule). Applied to the mid-window switch
 //                          scenario, which defaults to work_stealing -> sfc
-//                          halfway through the injection window.
+//                          halfway through the injection window. A time
+//                          that is not in [0, window) exits 2 (window 0.2 s
+//                          with --smoke, 0.5 s without).
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -98,18 +100,6 @@ void emit_run(JsonWriter& jw, const ServiceReport& r, double util) {
   jw.field("request_comp_s", r.request_comp_s);
   jw.field("ledger_comp_s", r.ledger_comp_s);
   jw.field("ledger_delta_pct", r.ledger_delta_pct);
-  jw.begin_array("load_series");
-  for (const auto& series : r.load_series) {
-    jw.begin_array();
-    for (const auto& s : series) {
-      jw.begin_object();
-      jw.field("t", s.t);
-      jw.field("load", s.load);
-      jw.end_object();
-    }
-    jw.end_array();
-  }
-  jw.end_array();
   jw.end_object();
 }
 
@@ -167,6 +157,15 @@ int main(int argc, char** argv) {
   if (backend != "sim" && backend != "thread" && backend != "both") {
     std::cerr << "unknown backend: " << backend << "\n";
     return 2;
+  }
+  // A switch must fall inside the switch scenario's injection window, or
+  // the report would name a switch that never happened.
+  const double switch_window = base_scenario("sim", smoke).duration_s;
+  for (const auto& [t, name] : switches) {
+    if (!(t >= 0.0 && t < switch_window)) {
+      std::cerr << "bad --policy-switch time: " << t << "\n";
+      return 2;
+    }
   }
 
   std::cout << std::unitbuf;  // progress lines survive a mid-sweep abort

@@ -37,6 +37,7 @@
 #include "dmcs/sim_machine.hpp"
 #include "fault/fault_plan.hpp"
 #include "prema/runtime.hpp"
+#include "support/parse.hpp"
 #include "trace/export.hpp"
 
 using namespace prema;
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
-      if (!fault::parse_fault_seed(argv[i] + 13, fault_seed)) {
+      if (!util::parse_u64(argv[i] + 13, fault_seed)) {
         std::fprintf(stderr, "bad --fault-seed value: %s\n", argv[i] + 13);
         return 2;
       }

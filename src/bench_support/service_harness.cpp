@@ -163,7 +163,6 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
     in_transit += rt.mol_at(p).in_transit_count();
     rep.request_comp_s += comp_by_rank[static_cast<std::size_t>(p)];
     rep.ledger_comp_s += machine.ledger(p).get(TimeCategory::kComputation);
-    rep.load_series.push_back(ledger.at(p).load_series());
   }
   const auto total_shards =
       static_cast<std::size_t>(sc.nprocs) * static_cast<std::size_t>(sc.shards_per_proc);

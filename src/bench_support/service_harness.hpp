@@ -13,8 +13,8 @@
 /// a machine (emulated or real threads), a fleet of request-shard mobile
 /// objects, and an arrival stream, runs the service window, and distills the
 /// latency ledger into the SLO numbers the sweep reports — p50/p99/p999
-/// sojourn, throughput, per-node load series — plus the audits that make the
-/// numbers trustworthy: arrivals == completions (open-loop conservation) and
+/// sojourn and throughput — plus the audits that make the numbers
+/// trustworthy: arrivals == completions (open-loop conservation) and
 /// a TimeLedger reconciliation (requests' nominal compute seconds vs the
 /// machine's accounted computation).
 ///
@@ -94,8 +94,6 @@ struct ServiceReport {
   double ledger_comp_s = 0.0;
   double ledger_delta_pct = 0.0;
 
-  /// Epoch-sampled per-node load series (one vector per rank).
-  std::vector<std::vector<service::LoadSample>> load_series;
   /// Merged sojourn histogram (for goldens / further percentiles).
   service::LatencyHistogram histogram;
 

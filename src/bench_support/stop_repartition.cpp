@@ -130,7 +130,6 @@ Runtime::Runtime(dmcs::Machine& machine, SrpConfig cfg)
     auto rt = std::make_unique<NodeRt>();
     rt->node = &machine_.node(p);
     rt->mol = &mol_layer_->at(p);
-    rt->ctx.rt_ = this;
     rt->ctx.node_ = rt->node;
     rt->ctx.mol_ = rt->mol;
     nodes_.push_back(std::move(rt));
@@ -158,8 +157,6 @@ Runtime::NodeRt& Runtime::rt(ProcId p) {
   PREMA_CHECK(p >= 0 && p < static_cast<ProcId>(nodes_.size()));
   return *nodes_[static_cast<std::size_t>(p)];
 }
-
-ilb::Scheduler& Runtime::scheduler_at(ProcId p) { return rt(p).sched; }
 
 mol::ObjectHandlerId Runtime::register_object_handler(const std::string& name,
                                                       ObjectHandler fn) {
@@ -410,10 +407,6 @@ mol::MobilePtr Context::add_object(std::unique_ptr<mol::MobileObject> obj) {
 void Context::message(const mol::MobilePtr& target, mol::ObjectHandlerId handler,
                       std::vector<std::uint8_t> payload, double weight) {
   mol_->message(target, handler, std::move(payload), weight);
-}
-
-mol::MobileObject* Context::local(const mol::MobilePtr& ptr) {
-  return mol_->find(ptr);
 }
 
 }  // namespace prema::srp

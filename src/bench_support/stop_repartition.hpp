@@ -45,11 +45,9 @@ class Context {
   void compute(double mflop) {
     node_->compute(mflop, util::TimeCategory::kComputation);
   }
-  [[nodiscard]] mol::MobileObject* local(const mol::MobilePtr& ptr);
 
  private:
   friend class Runtime;
-  Runtime* rt_ = nullptr;
   dmcs::Node* node_ = nullptr;
   mol::Mol* mol_ = nullptr;
 };
@@ -90,11 +88,8 @@ class Runtime {
   // -- introspection --------------------------------------------------------
   [[nodiscard]] int exchanges() const { return exchanges_; }
   [[nodiscard]] int repartitions() const { return repartitions_; }
-  [[nodiscard]] int declined() const { return exchanges_ - repartitions_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
   [[nodiscard]] mol::Mol& mol_at(ProcId p) { return mol_layer_->at(p); }
-  [[nodiscard]] ilb::Scheduler& scheduler_at(ProcId p);
-  [[nodiscard]] const SrpConfig& config() const { return cfg_; }
 
  private:
   struct NodeRt;

@@ -138,7 +138,6 @@ void finalize(RunReport& r, const SyntheticConfig& cfg) {
                         l.get(TimeCategory::kPolling);
     r.sync_total += l.get(TimeCategory::kSynchronization);
     r.partition_total += l.get(TimeCategory::kPartitionCalc);
-    r.idle_total += l.get(TimeCategory::kIdle);
   }
   r.comp_stddev = comp.stddev();
   if (r.comp_total > 0) {

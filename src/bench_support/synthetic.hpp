@@ -105,7 +105,6 @@ struct RunReport {
   double overhead_total = 0.0;  ///< messaging + scheduling + polling
   double sync_total = 0.0;
   double partition_total = 0.0;
-  double idle_total = 0.0;
   double overhead_pct = 0.0;    ///< overhead_total / comp_total * 100
   double sync_pct = 0.0;        ///< sync_total / comp_total * 100
   std::uint64_t migrations = 0;

@@ -46,7 +46,6 @@ struct Runtime::NodeState {
   // The invocation currently being executed (set before Node::execute).
   ChareIdx current = -1;
   std::optional<Invocation> current_inv;
-  double current_cost_mflop = 0.0;
 };
 
 class Runtime::Program final : public dmcs::Program {
@@ -208,10 +207,6 @@ void Runtime::create_array(ChareIdx n, ChareInit init, EntryId resume_entry) {
   for (ChareIdx i = 0; i < n; ++i) {
     db_where_[static_cast<std::size_t>(i)] = initial_home(i);
   }
-}
-
-ProcId Runtime::location(ChareIdx idx) const {
-  return db_where_[static_cast<std::size_t>(idx)];
 }
 
 double Runtime::measured_load(ChareIdx idx) const {

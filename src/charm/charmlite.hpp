@@ -102,10 +102,8 @@ class Runtime {
   double run();
 
   // -- introspection --------------------------------------------------------
-  [[nodiscard]] ProcId location(ChareIdx idx) const;
   [[nodiscard]] int sync_rounds() const { return sync_rounds_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-  [[nodiscard]] const CharmConfig& config() const { return cfg_; }
   [[nodiscard]] double measured_load(ChareIdx idx) const;
 
  private:

@@ -8,33 +8,15 @@ namespace prema::dmcs {
 
 HandlerId HandlerRegistry::add(const std::string& name, Handler fn) {
   PREMA_CHECK_MSG(!name.empty(), "handler name must be non-empty");
-  PREMA_CHECK_MSG(by_name_.find(name) == by_name_.end(),
-                  "duplicate handler registration");
+  const bool fresh = registered_.insert(name).second;
+  PREMA_CHECK_MSG(fresh, "duplicate handler registration");
   handlers_.push_back(std::move(fn));
-  names_.push_back(name);
-  const auto id = static_cast<HandlerId>(handlers_.size());  // ids start at 1
-  by_name_.emplace(name, id);
-  return id;
-}
-
-HandlerId HandlerRegistry::id_of(const std::string& name) const {
-  auto it = by_name_.find(name);
-  PREMA_CHECK_MSG(it != by_name_.end(), "unknown handler name");
-  return it->second;
-}
-
-bool HandlerRegistry::contains(const std::string& name) const {
-  return by_name_.find(name) != by_name_.end();
+  return static_cast<HandlerId>(handlers_.size());  // ids start at 1
 }
 
 const Handler& HandlerRegistry::handler(HandlerId id) const {
   PREMA_CHECK_MSG(id != kNoHandler && id <= handlers_.size(), "bad handler id");
   return handlers_[id - 1];
-}
-
-const std::string& HandlerRegistry::name_of(HandlerId id) const {
-  PREMA_CHECK_MSG(id != kNoHandler && id <= names_.size(), "bad handler id");
-  return names_[id - 1];
 }
 
 }  // namespace prema::dmcs

@@ -2,7 +2,7 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dmcs/message.hpp"
@@ -10,8 +10,7 @@
 /// \file handler_registry.hpp
 /// Maps handler ids to callable handlers. Handler ids must agree across all
 /// processors of a machine (they travel in message headers), so registration
-/// is by name: registering the same name twice returns the same id only if the
-/// registration is marked idempotent-safe via lookup, otherwise it aborts.
+/// is by name and registering the same name twice aborts.
 
 namespace prema::dmcs {
 
@@ -27,24 +26,12 @@ class HandlerRegistry {
   /// a machine's handler set must be assembled exactly once.
   HandlerId add(const std::string& name, Handler fn);
 
-  /// Id of a previously registered handler; aborts if missing.
-  [[nodiscard]] HandlerId id_of(const std::string& name) const;
-
-  /// True if `name` has been registered.
-  [[nodiscard]] bool contains(const std::string& name) const;
-
   /// The handler registered under `id`; aborts if out of range.
   [[nodiscard]] const Handler& handler(HandlerId id) const;
 
-  /// Name registered under `id` (for diagnostics).
-  [[nodiscard]] const std::string& name_of(HandlerId id) const;
-
-  [[nodiscard]] std::size_t size() const { return handlers_.size(); }
-
  private:
   std::vector<Handler> handlers_;        // index = id - 1 (0 is kNoHandler)
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, HandlerId> by_name_;
+  std::unordered_set<std::string> registered_;
 };
 
 }  // namespace prema::dmcs

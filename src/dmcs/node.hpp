@@ -162,14 +162,6 @@ class Node {
   [[nodiscard]] trace::TraceSink* trace() const { return trace_; }
   void set_trace_sink(trace::TraceSink* sink) { trace_ = sink; }
 
-  /// Opaque slot for the runtime layer built on top of DMCS (e.g. the PREMA
-  /// runtime stores its per-node state here).
-  void set_user(void* user) { user_ = user; }
-  template <typename T>
-  [[nodiscard]] T& user() {
-    return *static_cast<T*>(user_);
-  }
-
  protected:
   Node(ProcId rank, int nprocs) : rank_(rank), nprocs_(nprocs) {}
 
@@ -177,7 +169,6 @@ class Node {
   int nprocs_;
   NodeStats stats_;
   trace::TraceSink* trace_ = nullptr;  ///< installed before run(), then read-only
-  void* user_ = nullptr;               ///< installed before run(), then read-only
   util::RecursiveMutex state_mutex_;
 };
 

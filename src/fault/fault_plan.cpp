@@ -1,7 +1,6 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -83,15 +82,8 @@ bool is_fault_profile(const std::string& name) {
          name == "one-slow-node" || name == "mid-pause";
 }
 
-bool parse_fault_seed(std::string_view text, std::uint64_t& seed) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, seed);
-  return ec == std::errc() && ptr == end;
-}
-
 FaultPlan::FaultPlan(FaultProfile profile, std::uint64_t seed, int nprocs)
     : profile_(std::move(profile)),
-      seed_(seed),
       nprocs_(nprocs),
       active_(profile_.any()) {
   PREMA_CHECK_MSG(nprocs > 0, "fault plan needs at least one processor");

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -84,10 +83,6 @@ struct FaultProfile {
 FaultProfile make_fault_profile(const std::string& name);
 [[nodiscard]] bool is_fault_profile(const std::string& name);
 
-/// Parse a --fault-seed value: a non-empty run of decimal digits that fits
-/// in 64 bits. False on anything else (a sign, spaces, trailing text).
-[[nodiscard]] bool parse_fault_seed(std::string_view text, std::uint64_t& seed);
-
 /// The wire-level fate of one message transmission.
 struct WireFate {
   int copies = 1;            ///< 0 = dropped, 2 = duplicated
@@ -106,8 +101,6 @@ class FaultPlan {
  public:
   FaultPlan(FaultProfile profile, std::uint64_t seed, int nprocs);
 
-  [[nodiscard]] const FaultProfile& profile() const { return profile_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
   /// False when the profile can never inject anything ("none"): machines
   /// treat an inactive plan exactly like no plan at all.
   [[nodiscard]] bool active() const { return active_; }
@@ -131,7 +124,6 @@ class FaultPlan {
 
  private:
   FaultProfile profile_;
-  std::uint64_t seed_;
   int nprocs_;
   bool active_;
   mutable util::Mutex mu_;

@@ -47,7 +47,6 @@ void Balancer::poll() {
 }
 
 void Balancer::on_wire(dmcs::Message&& msg) {
-  ++stats_.wire_messages;
   ByteReader r(msg.payload);
   const auto tag = r.get<PolicyTag>();
   if (tag == 0) {
@@ -113,7 +112,6 @@ void Balancer::request_poll_after(double seconds) {
 }
 
 void Balancer::migrate_object(const mol::MobilePtr& ptr, ProcId dst) {
-  ++stats_.objects_migrated;
   if (auto* ts = node_.trace()) {
     // The policy just decided to move work: record the decision itself,
     // attributed to the policy by name. (Mol::migrate records the transfer.)

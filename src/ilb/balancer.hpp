@@ -67,12 +67,9 @@ class Balancer final : public PolicyContext {
   /// Global termination has been detected: stop initiating balancing (poll
   /// events and timer wakeups become no-ops).
   void stop() { stopped_ = true; }
-  [[nodiscard]] bool stopped() const { return stopped_; }
 
   struct Stats {
     std::uint64_t polls = 0;
-    std::uint64_t wire_messages = 0;
-    std::uint64_t objects_migrated = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -32,7 +32,7 @@ void GradientPolicy::init(PolicyContext& ctx) {
   proximity_ = infinity(ctx);
 }
 
-void GradientPolicy::refresh(PolicyContext& ctx, bool allow_increase) {
+void GradientPolicy::refresh(PolicyContext& ctx) {
   if (neighbors_.empty()) return;
   std::uint32_t next;
   if (ctx.local_load() < ctx.low_watermark()) {
@@ -52,7 +52,6 @@ void GradientPolicy::refresh(PolicyContext& ctx, bool allow_increase) {
   // count-up floods the machine with O(P^2) messages per load change (the
   // distance-vector pathology). Deferred changes coalesce into the next
   // wakeup's announcement.
-  (void)allow_increase;
   const double now = ctx.now();
   if (announced_once_ && now - last_announce_ < kAnnounceIntervalS) {
     ctx.request_poll_after(kAnnounceIntervalS - (now - last_announce_));
@@ -98,7 +97,7 @@ void GradientPolicy::maybe_push(PolicyContext& ctx) {
 }
 
 void GradientPolicy::on_poll(PolicyContext& ctx) {
-  refresh(ctx, /*allow_increase=*/true);
+  refresh(ctx);
   maybe_push(ctx);
 }
 
@@ -106,12 +105,12 @@ void GradientPolicy::on_message(PolicyContext& ctx, ProcId from, PolicyTag tag,
                                 ByteReader& body) {
   PREMA_CHECK_MSG(tag == kProximity, "unknown gradient message tag");
   neighbor_prox_[from] = body.get<std::uint32_t>();
-  refresh(ctx, /*allow_increase=*/false);
+  refresh(ctx);
   maybe_push(ctx);
 }
 
 void GradientPolicy::on_work_arrived(PolicyContext& ctx) {
-  refresh(ctx, /*allow_increase=*/false);
+  refresh(ctx);
 }
 
 }  // namespace prema::ilb

@@ -30,7 +30,7 @@ class GradientPolicy final : public StatelessPolicy {
   /// Proximity value meaning "no underloaded processor known".
   [[nodiscard]] std::uint32_t infinity(const PolicyContext& ctx) const;
 
-  void refresh(PolicyContext& ctx, bool allow_increase);
+  void refresh(PolicyContext& ctx);
   void maybe_push(PolicyContext& ctx);
 
   std::vector<ProcId> neighbors_;

@@ -183,7 +183,6 @@ void SfcPolicy::apply_cuts(PolicyContext& ctx) {
     const ProcId owner = owner_of(bucket_of(ctx, obj.ptr));
     if (owner == me || ctx.peer_degraded(owner)) continue;
     ctx.migrate_object(obj.ptr, owner);
-    ++stats_.objects_shipped;
   }
 }
 

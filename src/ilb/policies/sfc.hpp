@@ -53,7 +53,6 @@ class SfcPolicy final : public Policy {
   struct Stats {
     std::uint64_t reports_sent = 0;
     std::uint64_t cuts_broadcast = 0;  ///< coordinator only
-    std::uint64_t objects_shipped = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -61,16 +61,12 @@ void WorkStealingPolicy::maybe_request(PolicyContext& ctx) {
   w.put<double>(ctx.local_load());
   ctx.send_policy(partner_, kRequest, w.take());
   outstanding_ = true;
-  ++stats_.requests_sent;
 }
 
 void WorkStealingPolicy::handle_request(PolicyContext& ctx, ProcId from,
                                         double their_load) {
   const double mine = ctx.local_load();
-  auto deny = [&] {
-    ctx.send_policy(from, kDeny, {});
-    ++stats_.denials;
-  };
+  auto deny = [&] { ctx.send_policy(from, kDeny, {}); };
   if (mine <= ctx.donate_threshold() || mine <= their_load) {
     deny();
     return;
@@ -103,7 +99,6 @@ void WorkStealingPolicy::handle_request(PolicyContext& ctx, ProcId from,
   ByteWriter w;
   w.put<std::uint32_t>(count);
   ctx.send_policy(from, kGrant, w.take());
-  ++stats_.grants;
 }
 
 void WorkStealingPolicy::on_message(PolicyContext& ctx, ProcId from, PolicyTag tag,

@@ -37,9 +37,6 @@ class WorkStealingPolicy final : public StatelessPolicy {
   void on_work_arrived(PolicyContext& ctx) override;
 
   struct Stats {
-    std::uint64_t requests_sent = 0;
-    std::uint64_t grants = 0;
-    std::uint64_t denials = 0;
     std::uint64_t went_passive = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -219,7 +219,6 @@ AftStats AdvancingFront::run() {
     auto it = on_front_.find(key);
     if (!faces_[fi].alive || it == on_front_.end() || it->second != fi) continue;
     ++steps;
-    ++stats_.faces_processed;
 
     const Face f = faces_[fi].face;
     const PointId apex = delaunay_apex(f);
@@ -235,7 +234,6 @@ AftStats AdvancingFront::run() {
       }
     }
     if (!built) {
-      ++stats_.postponed;
       faces_[fi].area *= 1.7;  // sink it; neighbours may resolve the conflict
       heap_.push_back(fi);
       std::push_heap(heap_.begin(), heap_.end(), heap_cmp);

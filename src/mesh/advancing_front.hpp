@@ -38,9 +38,7 @@ struct TetMesh {
 };
 
 struct AftStats {
-  std::int64_t faces_processed = 0;
   std::int64_t tets_created = 0;
-  std::int64_t postponed = 0;
   bool completed = false;  ///< front emptied
 };
 

@@ -72,38 +72,6 @@ bool point_in_tet(const Vec3& p, const Vec3& a, const Vec3& b, const Vec3& c,
          signed_volume(a, p, c, d) > eps && signed_volume(p, b, c, d) > eps;
 }
 
-double point_triangle_distance2(const Vec3& p, const Vec3& a, const Vec3& b,
-                                const Vec3& c) {
-  // Ericson, Real-Time Collision Detection: closest point on triangle.
-  const Vec3 ab = b - a, ac = c - a, ap = p - a;
-  const double d1 = dot(ab, ap), d2 = dot(ac, ap);
-  if (d1 <= 0.0 && d2 <= 0.0) return norm2(ap);
-  const Vec3 bp = p - b;
-  const double d3 = dot(ab, bp), d4 = dot(ac, bp);
-  if (d3 >= 0.0 && d4 <= d3) return norm2(bp);
-  const double vc = d1 * d4 - d3 * d2;
-  if (vc <= 0.0 && d1 >= 0.0 && d3 <= 0.0) {
-    const double v = d1 / (d1 - d3);
-    return norm2(ap - ab * v);
-  }
-  const Vec3 cp = p - c;
-  const double d5 = dot(ab, cp), d6 = dot(ac, cp);
-  if (d6 >= 0.0 && d5 <= d6) return norm2(cp);
-  const double vb = d5 * d2 - d1 * d6;
-  if (vb <= 0.0 && d2 >= 0.0 && d6 <= 0.0) {
-    const double w = d2 / (d2 - d6);
-    return norm2(ap - ac * w);
-  }
-  const double va = d3 * d6 - d5 * d4;
-  if (va <= 0.0 && (d4 - d3) >= 0.0 && (d5 - d6) >= 0.0) {
-    const double w = (d4 - d3) / ((d4 - d3) + (d5 - d6));
-    return norm2(bp - (c - b) * w);
-  }
-  const double denom = 1.0 / (va + vb + vc);
-  const double v = vb * denom, w = vc * denom;
-  return norm2(p - (a + ab * v + ac * w));
-}
-
 bool segment_intersects_triangle(const Vec3& p, const Vec3& q, const Vec3& a,
                                  const Vec3& b, const Vec3& c, double eps) {
   // Moller-Trumbore with strict interior tests.

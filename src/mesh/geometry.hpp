@@ -56,10 +56,6 @@ bool tet_circumsphere(const Vec3& a, const Vec3& b, const Vec3& c, const Vec3& d
 bool point_in_tet(const Vec3& p, const Vec3& a, const Vec3& b, const Vec3& c,
                   const Vec3& d, double eps = 1e-12);
 
-/// Squared distance from point p to triangle (a, b, c).
-double point_triangle_distance2(const Vec3& p, const Vec3& a, const Vec3& b,
-                                const Vec3& c);
-
 /// True if segment (p, q) properly intersects triangle (a, b, c) —
 /// endpoints touching the triangle's plane within eps do not count.
 bool segment_intersects_triangle(const Vec3& p, const Vec3& q, const Vec3& a,

@@ -52,9 +52,6 @@ class CrackTipSizing final : public SizingField {
     return h_min_ + (h_max_ - h_min_) * (t - core_) / (1.0 - core_);
   }
 
-  void set_tip(const Vec3& tip) { tip_ = tip; }
-  [[nodiscard]] const Vec3& tip() const { return tip_; }
-
  private:
   Vec3 tip_;
   double h_min_;

@@ -34,9 +34,6 @@ class MeshSubdomain : public mol::MobileObject {
   void serialize(util::ByteWriter& w) const override;
   static std::unique_ptr<mol::MobileObject> deserialize(util::ByteReader& r);
 
-  [[nodiscard]] const Vec3& lo() const { return lo_; }
-  [[nodiscard]] const Vec3& hi() const { return hi_; }
-  [[nodiscard]] Vec3 center() const { return (lo_ + hi_) * 0.5; }
   [[nodiscard]] std::int64_t total_tets() const { return total_tets_; }
   [[nodiscard]] int phases_done() const { return phases_done_; }
   /// The last completed mesh (kept for inspection; not serialized).

@@ -29,15 +29,6 @@ class MobileObject {
 
   /// Write the object's full state for migration.
   virtual void serialize(util::ByteWriter& w) const = 0;
-
-  /// Approximate in-memory/wire size; the emulator charges migration
-  /// transfer time from the actual serialized size, so this is only used by
-  /// balancing policies that prefer cheap-to-move objects.
-  [[nodiscard]] virtual std::size_t byte_size() const {
-    util::ByteWriter w;
-    serialize(w);
-    return w.size();
-  }
 };
 
 using ObjectFactory =

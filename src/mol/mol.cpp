@@ -154,7 +154,6 @@ void Mol::on_route_locked(Message&& msg) {
       put_ptr(w, target);
       w.put<ProcId>(node_.rank());
       node_.send(origin, Message{update_h_, node_.rank(), MsgKind::kSystem, w.take()});
-      ++stats_.location_updates;
     }
     accept(target, it->second, origin, seq, Buffered{handler, weight, std::move(payload)});
     return;
@@ -191,7 +190,6 @@ void Mol::accept(const MobilePtr& ptr, LocalEntry& entry, ProcId origin,
 
 void Mol::deliver(const MobilePtr& ptr, LocalEntry& entry, ProcId origin,
                   Buffered&& msg) {
-  ++stats_.accepted;
   Delivery d;
   d.target = ptr;
   d.handler = msg.handler;
@@ -416,7 +414,6 @@ void Mol::on_migrate_locked(Message&& msg) {
     put_ptr(w, ptr);
     w.put<ProcId>(node_.rank());
     node_.send(ptr.home, Message{update_h_, node_.rank(), MsgKind::kSystem, w.take()});
-    ++stats_.location_updates;
   } else {
     home_dir_[ptr.index] = node_.rank();
   }

@@ -54,12 +54,10 @@ class Mol {
   };
 
   struct Stats {
-    std::uint64_t accepted = 0;        ///< in-order deliveries handed upward
     std::uint64_t resequenced = 0;     ///< messages held in the reorder buffer
     std::uint64_t forwards = 0;        ///< route messages passed along
     std::uint64_t migrations_out = 0;
     std::uint64_t migrations_in = 0;
-    std::uint64_t location_updates = 0;
   };
 
   Mol(dmcs::Node& node, const ObjectTypeRegistry& types,

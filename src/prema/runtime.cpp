@@ -199,9 +199,8 @@ class Runtime::NodeProgram final : public dmcs::Program {
   NodeRt& node_;
 };
 
-Runtime::Runtime(dmcs::Machine& machine, RuntimeConfig cfg)
-    : machine_(machine), cfg_(std::move(cfg)) {
-  if (cfg_.trace.enabled) machine_.enable_tracing(cfg_.trace);
+Runtime::Runtime(dmcs::Machine& machine, const RuntimeConfig& cfg) : machine_(machine) {
+  if (cfg.trace.enabled) machine_.enable_tracing(cfg.trace);
   mol_layer_ = std::make_unique<mol::MolLayer>(machine_);
 
   exec_h_ = machine_.registry().add("prema.exec", [this](dmcs::Node& n, Message&& m) {
@@ -240,7 +239,6 @@ Runtime::Runtime(dmcs::Machine& machine, RuntimeConfig cfg)
     auto node_rt = std::make_unique<NodeRt>();
     node_rt->node = &machine_.node(p);
     node_rt->mol = &mol_layer_->at(p);
-    node_rt->ctx.runtime_ = this;
     node_rt->ctx.node_ = node_rt->node;
     node_rt->ctx.mol_ = node_rt->mol;
     if (is_leader(p)) {
@@ -249,8 +247,8 @@ Runtime::Runtime(dmcs::Machine& machine, RuntimeConfig cfg)
     }
     node_rt->balancer = std::make_unique<ilb::Balancer>(
         *node_rt->node, *node_rt->mol, node_rt->sched,
-        cfg_.policy_factory ? cfg_.policy_factory() : ilb::make_policy(cfg_.policy),
-        cfg_.balancer, policy_h_);
+        cfg.policy_factory ? cfg.policy_factory() : ilb::make_policy(cfg.policy),
+        cfg.balancer, policy_h_);
     nodes_.push_back(std::move(node_rt));
   }
 
@@ -296,10 +294,6 @@ Runtime::NodeRt& Runtime::rt(ProcId p) {
   PREMA_CHECK_MSG(p >= 0 && p < static_cast<ProcId>(nodes_.size()), "bad rank");
   return *nodes_[static_cast<std::size_t>(p)];
 }
-
-Context& Runtime::context(ProcId p) { return rt(p).ctx; }
-
-ilb::Scheduler& Runtime::scheduler_at(ProcId p) { return rt(p).sched; }
 
 ilb::Balancer& Runtime::balancer_at(ProcId p) { return *rt(p).balancer; }
 
@@ -360,6 +354,12 @@ double Runtime::run_service(ServiceConfig svc) {
   PREMA_CHECK_MSG(!ran_, "Runtime::run_service may only be called once");
   PREMA_CHECK_MSG(svc.duration_s > 0.0 && svc.epoch_s > 0.0,
                   "service mode needs positive duration and epoch");
+  for (const auto& sw : svc.policy_switches) {
+    // NaN fails both comparisons; a switch at or past the deadline would
+    // never see an arrival under the new policy.
+    PREMA_CHECK_MSG(sw.t >= 0.0 && sw.t < svc.duration_s,
+                    "policy switch time must lie in [0, duration_s)");
+  }
   PREMA_CHECK_MSG(static_cast<bool>(svc.on_arrival),
                   "service mode needs an on_arrival sink");
   svc_ = std::make_unique<ServiceConfig>(std::move(svc));
@@ -417,7 +417,7 @@ void Runtime::service_on_arrival(NodeRt& r) {
   if (auto* ts = r.node->trace()) {
     ts->record(trace::EventKind::kServiceArrival, t, kNoProc, a.client, a.cost_mflop);
   }
-  if (svc_->ledger) svc_->ledger->at(r.node->rank()).record_arrival(t);
+  if (svc_->ledger) svc_->ledger->at(r.node->rank()).record_arrival();
   svc_->on_arrival(r.ctx, a);
   r.did_work = true;
   const double gap = r.arrivals->next_gap(t);
@@ -444,7 +444,6 @@ void Runtime::service_on_epoch(NodeRt& r) {
   if (auto* ts = r.node->trace()) {
     ts->record(trace::EventKind::kServiceEpoch, t, kNoProc, 0, load);
   }
-  if (svc_->ledger) svc_->ledger->at(r.node->rank()).sample_load(t, load);
   const double remaining = svc_->duration_s - t;
   if (remaining > 1e-9) {
     r.node->send_self_after(
@@ -808,14 +807,6 @@ mol::MobilePtr Context::add_object(std::unique_ptr<mol::MobileObject> obj) {
 void Context::message(const mol::MobilePtr& target, mol::ObjectHandlerId handler,
                       std::vector<std::uint8_t> payload, double weight) {
   mol_->message(target, handler, std::move(payload), weight);
-}
-
-mol::MobileObject* Context::local(const mol::MobilePtr& ptr) {
-  return mol_->find(ptr);
-}
-
-bool Context::is_local(const mol::MobilePtr& ptr) {
-  return mol_->is_local(ptr);
 }
 
 }  // namespace prema

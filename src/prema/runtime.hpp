@@ -41,7 +41,6 @@ class Context {
   [[nodiscard]] int nprocs() const { return node_->nprocs(); }
   [[nodiscard]] double now() const { return node_->now(); }
   [[nodiscard]] util::Rng& rng() { return node_->rng(); }
-  [[nodiscard]] Runtime& runtime() { return *runtime_; }
   [[nodiscard]] dmcs::Node& node() { return *node_; }
 
   /// Install a new mobile object on this processor.
@@ -67,13 +66,8 @@ class Context {
     node_->compute(mflop, util::TimeCategory::kComputation);
   }
 
-  /// The local instance of `ptr`, or nullptr if it is not resident here.
-  [[nodiscard]] mol::MobileObject* local(const mol::MobilePtr& ptr);
-  [[nodiscard]] bool is_local(const mol::MobilePtr& ptr);
-
  private:
   friend class Runtime;
-  Runtime* runtime_ = nullptr;
   dmcs::Node* node_ = nullptr;
   mol::Mol* mol_ = nullptr;
 };
@@ -105,17 +99,18 @@ struct ServiceConfig {
   /// Arrival injection window, seconds of machine time. No arrival fires at
   /// or after the deadline; in-flight work then drains to quiescence.
   double duration_s = 1.0;
-  /// Rebalancing cadence: every epoch each rank polls its balancer and
-  /// samples its load, independent of whether its queue ran dry.
+  /// Rebalancing cadence: every epoch each rank polls its balancer and, when
+  /// tracing, records its load in a `service-epoch` event, independent of
+  /// whether its queue ran dry.
   double epoch_s = 50e-3;
   service::ArrivalConfig arrivals;
   /// Application sink for each generated request: typically hashes
   /// `a.client` to a mobile object and sends it a message carrying the
   /// arrival timestamp and cost. Runs on the arrival rank, lock held.
   std::function<void(Context&, const service::Arrival&)> on_arrival;
-  /// Optional latency ledger; when set, arrivals and epoch load samples are
-  /// recorded per rank (completions are the application's to record, since
-  /// only it knows when a request's handler ran).
+  /// Optional latency ledger; when set, arrivals are counted per rank
+  /// (completions are the application's to record, since only it knows when
+  /// a request's handler ran).
   service::ServiceLedger* ledger = nullptr;
 
   /// Mid-window policy switch: at machine time `t`, every rank swaps its
@@ -133,7 +128,7 @@ struct ServiceConfig {
 
 class Runtime {
  public:
-  explicit Runtime(dmcs::Machine& machine, RuntimeConfig cfg = {});
+  explicit Runtime(dmcs::Machine& machine, const RuntimeConfig& cfg = {});
   ~Runtime();  // out-of-line: NodeRt/TermCoordinator are incomplete here
 
   /// Register a mobile-object factory (must happen on construction path,
@@ -156,10 +151,7 @@ class Runtime {
   double run_service(ServiceConfig svc);
 
   // -- post-run / introspection -------------------------------------------
-  [[nodiscard]] dmcs::Machine& machine() { return machine_; }
-  [[nodiscard]] Context& context(ProcId p);
   [[nodiscard]] mol::Mol& mol_at(ProcId p) { return mol_layer_->at(p); }
-  [[nodiscard]] ilb::Scheduler& scheduler_at(ProcId p);
   [[nodiscard]] ilb::Balancer& balancer_at(ProcId p);
   /// Post-run, single-threaded reads of coordinator state (the workers have
   /// joined by the time run() returns, so no lock is taken).
@@ -171,7 +163,6 @@ class Runtime {
       PREMA_NO_THREAD_SAFETY_ANALYSIS {
     return term_waves_;
   }
-  [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
 
  private:
   class NodeProgram;
@@ -209,7 +200,6 @@ class Runtime {
   NodeRt& rt(ProcId p);
 
   dmcs::Machine& machine_;
-  RuntimeConfig cfg_;
   std::unique_ptr<mol::MolLayer> mol_layer_;
   std::vector<std::unique_ptr<NodeRt>> nodes_;
   std::vector<ObjectHandler> object_handlers_;

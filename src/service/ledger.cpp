@@ -2,22 +2,15 @@
 
 namespace prema::service {
 
-void ProcService::record_arrival(double t) {
+void ProcService::record_arrival() {
   util::LockGuard g(mu_);
   ++arrivals_;
-  if (first_arrival_t_ < 0.0) first_arrival_t_ = t;
-  last_arrival_t_ = t;
 }
 
 void ProcService::record_completion(double sojourn_s) {
   util::LockGuard g(mu_);
   ++completions_;
   hist_.record(sojourn_s);
-}
-
-void ProcService::sample_load(double t, double load) {
-  util::LockGuard g(mu_);
-  series_.push_back({t, load});
 }
 
 std::uint64_t ProcService::arrivals() const {
@@ -33,21 +26,6 @@ std::uint64_t ProcService::completions() const {
 LatencyHistogram ProcService::histogram() const {
   util::LockGuard g(mu_);
   return hist_;
-}
-
-std::vector<LoadSample> ProcService::load_series() const {
-  util::LockGuard g(mu_);
-  return series_;
-}
-
-double ProcService::first_arrival_t() const {
-  util::LockGuard g(mu_);
-  return first_arrival_t_;
-}
-
-double ProcService::last_arrival_t() const {
-  util::LockGuard g(mu_);
-  return last_arrival_t_;
 }
 
 ServiceTotals ServiceLedger::totals() const {

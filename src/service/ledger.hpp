@@ -8,8 +8,9 @@
 
 /// \file ledger.hpp
 /// The service-mode latency ledger: one ProcService slab per processor,
-/// recording arrivals, completions, sojourn latencies (into the fixed-bucket
-/// LatencyHistogram) and an epoch-sampled per-node load time-series.
+/// recording arrival and completion counts and sojourn latencies (into the
+/// fixed-bucket LatencyHistogram). Per-epoch node load is not kept here: the
+/// `service-epoch` trace event records it when tracing is on.
 ///
 /// Concurrency model: each slab carries its own `util::Mutex mu_` — the
 /// `service_mu` rank of the lock hierarchy (see DESIGN.md and
@@ -27,12 +28,6 @@
 
 namespace prema::service {
 
-/// One epoch sample of a node's instantaneous load.
-struct LoadSample {
-  double t = 0.0;      ///< virtual time of the epoch tick
-  double load = 0.0;   ///< scheduler load metric at that instant
-};
-
 /// Aggregated counters across all slabs.
 struct ServiceTotals {
   std::uint64_t arrivals = 0;
@@ -42,25 +37,18 @@ struct ServiceTotals {
 /// Per-processor service statistics slab.
 class ProcService {
  public:
-  void record_arrival(double t);
+  void record_arrival();
   void record_completion(double sojourn_s);
-  void sample_load(double t, double load);
 
   [[nodiscard]] std::uint64_t arrivals() const;
   [[nodiscard]] std::uint64_t completions() const;
   [[nodiscard]] LatencyHistogram histogram() const;
-  [[nodiscard]] std::vector<LoadSample> load_series() const;
-  [[nodiscard]] double first_arrival_t() const;
-  [[nodiscard]] double last_arrival_t() const;
 
  private:
   mutable util::Mutex mu_;
   std::uint64_t arrivals_ PREMA_GUARDED_BY(mu_) = 0;
   std::uint64_t completions_ PREMA_GUARDED_BY(mu_) = 0;
-  double first_arrival_t_ PREMA_GUARDED_BY(mu_) = -1.0;
-  double last_arrival_t_ PREMA_GUARDED_BY(mu_) = -1.0;
   LatencyHistogram hist_ PREMA_GUARDED_BY(mu_);
-  std::vector<LoadSample> series_ PREMA_GUARDED_BY(mu_);
 };
 
 /// The machine-wide ledger: a fixed array of slabs, one per processor,
@@ -69,7 +57,6 @@ class ServiceLedger {
  public:
   explicit ServiceLedger(int nprocs) : procs_(static_cast<std::size_t>(nprocs)) {}
 
-  [[nodiscard]] int nprocs() const { return static_cast<int>(procs_.size()); }
   [[nodiscard]] ProcService& at(int p) { return procs_[static_cast<std::size_t>(p)]; }
   [[nodiscard]] const ProcService& at(int p) const {
     return procs_[static_cast<std::size_t>(p)];

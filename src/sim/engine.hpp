@@ -94,8 +94,6 @@ class Engine {
   /// a callback can find its own handle without capturing it.
   [[nodiscard]] EventId firing() const { return firing_; }
 
-  [[nodiscard]] bool idle() const { return queue_.empty(); }
-
   /// Run events until the queue drains or a safety limit trips.
   RunStats run(std::uint64_t max_events = UINT64_MAX,
                SimTime max_time = 1e18);

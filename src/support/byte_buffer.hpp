@@ -112,7 +112,6 @@ class ByteReader {
     return out;
   }
 
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:

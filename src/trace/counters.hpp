@@ -28,7 +28,6 @@ class Histogram {
   [[nodiscard]] double mean() const { return n_ > 0 ? sum_ / static_cast<double>(n_) : 0.0; }
   [[nodiscard]] double min() const { return n_ > 0 ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
 
   /// Upper edge of bucket i (2^i; bucket 0 covers [0, 1)).
   [[nodiscard]] static double bucket_edge(std::size_t i);

@@ -206,12 +206,12 @@ std::uint64_t TraceSink::dropped() const {
 // TraceRecorder
 // ---------------------------------------------------------------------------
 
-TraceRecorder::TraceRecorder(int nprocs, TraceConfig cfg) : cfg_(cfg) {
+TraceRecorder::TraceRecorder(int nprocs, TraceConfig cfg) {
   PREMA_CHECK_MSG(nprocs > 0, "recorder needs at least one processor");
   strings_.emplace_back();  // id 0 = ""
   sinks_.reserve(static_cast<std::size_t>(nprocs));
   for (ProcId p = 0; p < nprocs; ++p) {
-    sinks_.push_back(std::make_unique<TraceSink>(*this, p, cfg_.buffer_capacity));
+    sinks_.push_back(std::make_unique<TraceSink>(*this, p, cfg.buffer_capacity));
   }
 }
 

@@ -136,7 +136,6 @@ class TraceBuffer {
   void push(const TraceEvent& e);
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   /// Events overwritten because the buffer was full.
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
@@ -224,7 +223,6 @@ class TraceRecorder {
   TraceRecorder(int nprocs, TraceConfig cfg);
 
   [[nodiscard]] int nprocs() const { return static_cast<int>(sinks_.size()); }
-  [[nodiscard]] const TraceConfig& config() const { return cfg_; }
   [[nodiscard]] TraceSink& sink(ProcId p);
   [[nodiscard]] const TraceSink& sink(ProcId p) const;
 
@@ -239,7 +237,6 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t total_dropped() const;
 
  private:
-  TraceConfig cfg_;
   std::vector<std::unique_ptr<TraceSink>> sinks_;
 
   mutable util::Mutex intern_mu_;

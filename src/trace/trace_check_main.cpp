@@ -3,21 +3,25 @@
 // structurally valid trace with monotonic per-track timestamps.
 //
 // Usage: trace_check <trace.json> [--min-events=N]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "support/parse.hpp"
 #include "trace/export.hpp"
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
-  std::size_t min_events = 1;
+  std::uint64_t min_events = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--min-events=", 13) == 0) {
-      min_events = static_cast<std::size_t>(std::strtoull(argv[i] + 13, nullptr, 10));
+      if (!prema::util::parse_u64(argv[i] + 13, min_events)) {
+        std::fprintf(stderr, "bad --min-events value: %s\n", argv[i] + 13);
+        return 2;
+      }
     } else if (!path) {
       path = argv[i];
     } else {
@@ -47,8 +51,8 @@ int main(int argc, char** argv) {
   }
   if (res.events < min_events) {
     std::fprintf(stderr,
-                 "trace_check: %s: valid but only %zu events (< %zu)\n", path,
-                 res.events, min_events);
+                 "trace_check: %s: valid but only %zu events (< %llu)\n", path,
+                 res.events, static_cast<unsigned long long>(min_events));
     return 1;
   }
   std::printf("trace_check: %s: OK (%zu events on %zu tracks)\n", path,

@@ -7,6 +7,7 @@
 #include "service/arrivals.hpp"
 #include "service/latency.hpp"
 #include "service/ledger.hpp"
+#include "trace_events.hpp"
 
 /// \file test_service.cpp
 /// Service mode (open-loop arrivals, continuous balancing): the histogram's
@@ -226,17 +227,14 @@ TEST(ServiceLedger, TotalsAndMergedHistogramAggregateSlabs) {
   ServiceLedger ledger(4);
   for (int p = 0; p < 4; ++p) {
     for (int i = 0; i <= p; ++i) {
-      ledger.at(p).record_arrival(0.1 * i);
+      ledger.at(p).record_arrival();
       ledger.at(p).record_completion(1e-3 * (p + 1));
     }
-    ledger.at(p).sample_load(0.5, static_cast<double>(p));
   }
   const ServiceTotals t = ledger.totals();
   EXPECT_EQ(t.arrivals, 10u);
   EXPECT_EQ(t.completions, 10u);
   EXPECT_EQ(ledger.merged_histogram().count(), 10u);
-  EXPECT_EQ(ledger.at(2).load_series().size(), 1u);
-  EXPECT_DOUBLE_EQ(ledger.at(2).load_series()[0].load, 2.0);
 }
 
 }  // namespace
@@ -271,13 +269,17 @@ void expect_sane(const ServiceReport& r) {
   EXPECT_GE(r.p99_ms, r.p50_ms);
   EXPECT_GE(r.p999_ms, r.p99_ms);
   EXPECT_EQ(r.histogram.count(), r.completions);
-  // Epoch sampling produced a load series for every rank.
-  for (const auto& series : r.load_series) EXPECT_FALSE(series.empty());
 }
 
 TEST(ServiceRun, WorkStealingAuditBalances) {
-  const ServiceReport r = run_service_scenario(small_scenario("work_stealing"));
+  ServiceScenario sc = small_scenario("work_stealing");
+  sc.trace_out = "service_epochs_sim.json";
+  const ServiceReport r = run_service_scenario(sc);
   expect_sane(r);
+  // Every rank's epoch timer fired: each track carries a service-epoch event.
+  ASSERT_EQ(r.trace_file, sc.trace_out);
+  const auto epochs = testutil::events_per_track(r.trace_file, "service-epoch", sc.nprocs);
+  for (int p = 0; p < sc.nprocs; ++p) EXPECT_GT(epochs[p], 0) << "rank " << p;
   // Sim backend, no faults: nominal request compute seconds reconcile with
   // the machine's accounted computation almost exactly.
   EXPECT_LT(std::abs(r.ledger_delta_pct), 1.0);
@@ -335,6 +337,14 @@ TEST(ServiceRun, MidWindowSwitchToSfcAbsorbsSkewedTopologyTags) {
   expect_sane(r);
   EXPECT_EQ(r.arrivals, r.completions);
   EXPECT_EQ(r.policy, "work_stealing->sfc");
+}
+
+TEST(ServiceRunDeathTest, PolicySwitchAtTheDeadlineAborts) {
+  // A switch at or past the end of the injection window would never see an
+  // arrival under the new policy; run_service refuses it up front.
+  ServiceScenario sc = small_scenario("work_stealing");
+  sc.policy_switches = {{sc.duration_s, "sfc"}};
+  EXPECT_DEATH((void)run_service_scenario(sc), "policy switch time");
 }
 
 TEST(ServiceRun, ReportsAreDeterministic) {

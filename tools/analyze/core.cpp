@@ -1219,27 +1219,6 @@ std::string type_class(const Index& idx, const std::string& type) {
   return best;
 }
 
-/// Declared class of a local/parameter identifier inside `fn`, scanning the
-/// signature and body text before `before` for `Cls[&*] name`.
-std::string local_type_of(const Index& idx, const SourceFile& f,
-                          const FunctionDef& fn, const std::string& name,
-                          std::size_t before) {
-  const std::string_view code = f.code;
-  std::size_t from = fn.name_pos;
-  while (true) {
-    const std::size_t pos = find_ident(code, name, from, false, false);
-    if (pos == std::string_view::npos || pos >= before) return "";
-    from = pos + 1;
-    std::size_t r = skip_ws_back(code, pos);
-    while (r > 0 && (code[r - 1] == '&' || code[r - 1] == '*')) --r;
-    r = skip_ws_back(code, r);
-    const std::string_view word = ident_before(code, r);
-    if (!word.empty() && idx.class_names.count(std::string(word)) != 0) {
-      return std::string(word);
-    }
-  }
-}
-
 void collect_calls(const Index& idx, int fi, const SourceFile& f,
                    const std::string& pp, std::vector<CallSite>& out) {
   const FunctionDef& fn = idx.funcs[static_cast<std::size_t>(fi)];
@@ -1273,15 +1252,8 @@ void collect_calls(const Index& idx, int fi, const SourceFile& f,
       std::size_t r = name_begin - 1;
       if (code[r] == '>') --r;
       std::string recv(ident_before(code, r));
-      std::string cls;
-      if (!recv.empty()) {
-        if (const auto it = idx.member_types.find(recv);
-            it != idx.member_types.end()) {
-          cls = it->second;
-        } else {
-          cls = local_type_of(idx, f, fn, recv, name_begin);
-        }
-      }
+      const std::string cls =
+          recv.empty() ? "" : receiver_class(idx, f, &fn, recv, name_begin);
       if (!cls.empty()) {
         call.callee = resolve_unique(idx.by_qual, cls + "::" + call.name);
       }
@@ -1346,6 +1318,29 @@ const FieldDecl* Index::find_field(const std::string& cls_hint, int file,
     }
   }
   return nullptr;
+}
+
+std::string receiver_class(const Index& idx, const SourceFile& f,
+                           const FunctionDef* fn, const std::string& recv,
+                           std::size_t use) {
+  if (const auto it = idx.member_types.find(recv); it != idx.member_types.end()) {
+    return it->second;
+  }
+  if (fn == nullptr) return "";
+  const std::string_view code = f.code;
+  std::size_t from = fn->name_pos;
+  while (true) {
+    const std::size_t pos = find_ident(code, recv, from, false, false);
+    if (pos == std::string_view::npos || pos >= use) return "";
+    from = pos + 1;
+    std::size_t r = skip_ws_back(code, pos);
+    while (r > 0 && (code[r - 1] == '&' || code[r - 1] == '*')) --r;
+    r = skip_ws_back(code, r);
+    const std::string_view word = ident_before(code, r);
+    if (!word.empty() && idx.class_names.count(std::string(word)) != 0) {
+      return std::string(word);
+    }
+  }
 }
 
 Index build_index(const Tree& tree) {
@@ -1637,15 +1632,8 @@ std::string atomic_receiver_class(const Index& idx, const SourceFile& f,
   if (chain.size() >= 2) {
     const std::string& comp = chain[chain.size() - 2];
     if (comp == "this") return enclosing_cls();
-    if (const auto it = idx.member_types.find(comp);
-        it != idx.member_types.end()) {
-      return it->second;
-    }
-    if (efn >= 0) {
-      return local_type_of(idx, f, idx.funcs[static_cast<std::size_t>(efn)],
-                           comp, pos);
-    }
-    return "";
+    const FunctionDef* fn = efn < 0 ? nullptr : &idx.funcs[static_cast<std::size_t>(efn)];
+    return receiver_class(idx, f, fn, comp, pos);
   }
   return enclosing_cls();
 }

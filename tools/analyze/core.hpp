@@ -355,6 +355,14 @@ struct Index {
 /// Build the whole-program index for `tree`.
 Index build_index(const Tree& tree);
 
+/// Declared class of the receiver `recv` used at offset `use` of `f`: its
+/// unambiguous member type, else a `Cls[&*] recv` declaration in `fn`'s
+/// signature or body before `use` (members only when `fn` is null). "" when
+/// neither resolves; callers pick their own enclosing-class fallback.
+std::string receiver_class(const Index& idx, const SourceFile& f,
+                           const FunctionDef* fn, const std::string& recv,
+                           std::size_t use);
+
 /// May-hold lock sets at function entry, propagated to a fixed point over
 /// resolved call edges: entry(callee) ⊇ holds-at-call-site(caller). Seeded
 /// from each function's PREMA_REQUIRES facts.

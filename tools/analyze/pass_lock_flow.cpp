@@ -143,27 +143,7 @@ bool root_is_shared(const Index& idx, const SourceFile& f,
 std::string field_class_hint(const Index& idx, const SourceFile& f,
                              const FunctionDef& fn, const WriteSite& site) {
   if (site.chain.size() >= 2) {
-    const std::string& recv = site.chain[site.chain.size() - 2];
-    if (const auto it = idx.member_types.find(recv);
-        it != idx.member_types.end()) {
-      return it->second;
-    }
-    std::size_t from = fn.name_pos;
-    const std::string_view code = f.code;
-    while (true) {
-      const std::size_t pos = find_ident(code, recv, from, false, false);
-      if (pos == std::string_view::npos || pos >= site.pos) break;
-      from = pos + 1;
-      std::size_t r = pos;
-      while (r > 0 && std::isspace(static_cast<unsigned char>(code[r - 1]))) --r;
-      while (r > 0 && (code[r - 1] == '&' || code[r - 1] == '*')) --r;
-      while (r > 0 && std::isspace(static_cast<unsigned char>(code[r - 1]))) --r;
-      std::size_t tb = r;
-      while (tb > 0 && ident_char(code[tb - 1])) --tb;
-      const std::string word(code.substr(tb, r - tb));
-      if (idx.class_names.count(word) != 0) return word;
-    }
-    return "";
+    return receiver_class(idx, f, &fn, site.chain[site.chain.size() - 2], site.pos);
   }
   const std::size_t sep = fn.qual.rfind("::");
   return sep == std::string::npos ? "" : fn.qual.substr(0, sep);

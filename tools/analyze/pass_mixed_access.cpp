@@ -30,37 +30,6 @@
 namespace prema::analyze {
 namespace {
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-/// Declared class of `recv` at `use`: an unambiguous member/field type, or a
-/// preceding local/parameter declaration `Cls[&*] recv`.
-std::string receiver_class(const Index& idx, const SourceFile& f,
-                           const FunctionDef& fn, const std::string& recv,
-                           std::size_t use) {
-  if (const auto it = idx.member_types.find(recv);
-      it != idx.member_types.end()) {
-    return it->second;
-  }
-  const std::string_view code = f.code;
-  std::size_t from = fn.name_pos;
-  while (true) {
-    const std::size_t pos = find_ident(code, recv, from, false, false);
-    if (pos == std::string_view::npos || pos >= use) break;
-    from = pos + 1;
-    std::size_t r = pos;
-    while (r > 0 && std::isspace(static_cast<unsigned char>(code[r - 1]))) --r;
-    while (r > 0 && (code[r - 1] == '&' || code[r - 1] == '*')) --r;
-    while (r > 0 && std::isspace(static_cast<unsigned char>(code[r - 1]))) --r;
-    std::size_t tb = r;
-    while (tb > 0 && ident_char(code[tb - 1])) --tb;
-    const std::string word(code.substr(tb, r - tb));
-    if (idx.class_names.count(word) != 0) return word;
-  }
-  return "";
-}
-
 std::string class_of_qual(const std::string& qual) {
   const std::size_t sep = qual.rfind("::");
   if (sep == std::string::npos) return "";
@@ -87,8 +56,8 @@ void pass_mixed_access(const Tree& tree, const Options& opts, Findings& out) {
   bool any_root = false;
   for (std::size_t i = 0; i < idx.funcs.size(); ++i) {
     const FunctionDef& fn = idx.funcs[i];
-    if (starts_with(fn.qual, "ThreadMachine::") ||
-        starts_with(fn.qual, "ThreadNode::") || fn.name == "worker_loop" ||
+    if (fn.qual.starts_with("ThreadMachine::") ||
+        fn.qual.starts_with("ThreadNode::") || fn.name == "worker_loop" ||
         fn.name == "poller_loop") {
       reachable[i] = 1;
       any_root = true;
@@ -130,8 +99,7 @@ void pass_mixed_access(const Tree& tree, const Options& opts, Findings& out) {
          collect_writes(f, fn.body_begin, fn.body_end)) {
       std::string hint;
       if (site.chain.size() >= 2) {
-        hint = receiver_class(idx, f, fn, site.chain[site.chain.size() - 2],
-                              site.pos);
+        hint = receiver_class(idx, f, &fn, site.chain[site.chain.size() - 2], site.pos);
       } else {
         hint = class_of_qual(fn.qual);
       }
@@ -191,7 +159,7 @@ void pass_mixed_access(const Tree& tree, const Options& opts, Findings& out) {
           const std::string recv_cls =
               chain[chain.size() - 2] == "this"
                   ? class_of_qual(fn.qual)
-                  : receiver_class(idx, f, fn, chain[chain.size() - 2], pos);
+                  : receiver_class(idx, f, &fn, chain[chain.size() - 2], pos);
           if (recv_cls != cls) continue;
         } else {
           if (class_of_qual(fn.qual) != cls) continue;

@@ -42,10 +42,6 @@
 namespace prema::analyze {
 namespace {
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 /// A write counts against protocol var `v` only when it is plausibly a
 /// member access: reached through a chain (`tx.pending...`) or spelled with
 /// the member trailing underscore.
@@ -87,7 +83,7 @@ void pass_protocol_fsm(const Tree& tree, const Options& opts, Findings& out) {
         const FunctionDef& fn = idx.funcs[fi];
         if (fn.name != t.fn) continue;
         const SourceFile& f = idx.tree->files[static_cast<std::size_t>(fn.file)];
-        if (!starts_with(f.rel, scope)) continue;
+        if (!f.rel.starts_with(scope)) continue;
         found = true;
 
         // -- declared writes only -------------------------------------------
@@ -139,7 +135,7 @@ void pass_protocol_fsm(const Tree& tree, const Options& opts, Findings& out) {
       const FunctionDef& fn = idx.funcs[fi];
       if (declared.count(fn.name) != 0) continue;
       const SourceFile& f = idx.tree->files[static_cast<std::size_t>(fn.file)];
-      if (!starts_with(f.rel, spec.files)) continue;
+      if (!f.rel.starts_with(spec.files)) continue;
       for (const WriteSite& site :
            collect_writes(f, fn.body_begin, fn.body_end)) {
         for (const std::string& v : spec.vars) {

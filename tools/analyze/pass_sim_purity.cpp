@@ -29,41 +29,11 @@
 namespace prema::analyze {
 namespace {
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 /// Files that are wall-clock / live-thread domains by design.
 bool excluded_file(std::string_view rel) {
   return rel.find("thread_machine") != std::string_view::npos ||
-         starts_with(rel, "support/") || starts_with(rel, "bench_support/") ||
-         starts_with(rel, "service/");
-}
-
-/// Declared class of `recv` at `use`: an unambiguous member/field type, or a
-/// preceding local/parameter declaration `Cls[&*] recv`.
-std::string receiver_class(const Index& idx, const SourceFile& f,
-                           const FunctionDef& fn, const std::string& recv,
-                           std::size_t use) {
-  if (const auto it = idx.member_types.find(recv); it != idx.member_types.end()) {
-    return it->second;
-  }
-  const std::string_view code = f.code;
-  std::size_t from = fn.name_pos;
-  while (true) {
-    const std::size_t pos = find_ident(code, recv, from, false, false);
-    if (pos == std::string_view::npos || pos >= use) break;
-    from = pos + 1;
-    std::size_t r = pos;
-    while (r > 0 && std::isspace(static_cast<unsigned char>(code[r - 1]))) --r;
-    while (r > 0 && (code[r - 1] == '&' || code[r - 1] == '*')) --r;
-    while (r > 0 && std::isspace(static_cast<unsigned char>(code[r - 1]))) --r;
-    std::size_t tb = r;
-    while (tb > 0 && ident_char(code[tb - 1])) --tb;
-    const std::string word(code.substr(tb, r - tb));
-    if (idx.class_names.count(word) != 0) return word;
-  }
-  return "";
+         rel.starts_with("support/") || rel.starts_with("bench_support/") ||
+         rel.starts_with("service/");
 }
 
 /// Parse the range expression of `for (... : EXPR)` into a member-access
@@ -134,7 +104,7 @@ void pass_sim_purity(const Tree& tree, const Options& opts, Findings& out) {
       if (chain.empty()) continue;
       std::string hint;
       if (chain.size() >= 2) {
-        hint = receiver_class(idx, f, fn, chain[chain.size() - 2], pos);
+        hint = receiver_class(idx, f, &fn, chain[chain.size() - 2], pos);
       } else if (const std::size_t sep = fn.qual.rfind("::");
                  sep != std::string::npos) {
         hint = fn.qual.substr(0, sep);
