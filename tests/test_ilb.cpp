@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -461,6 +462,64 @@ TEST(Master, DonorHonoursPushCommand) {
   p.on_message(ctx, 0, 3, r);
   EXPECT_EQ(ctx.migrations_.size(), 5u);  // half the gap
   for (const auto& m : ctx.migrations_) EXPECT_EQ(m.dst, 2);
+}
+
+/// Poll at `load` and return how many reports (tag 1) went out to `dst`.
+template <typename P>
+std::size_t reports_after_poll(FakeContext& ctx, P& p, double load, ProcId dst) {
+  ctx.set_load(load);
+  p.on_poll(ctx);
+  return static_cast<std::size_t>(
+      std::count_if(ctx.sent_.begin(), ctx.sent_.end(),
+                    [dst](const SentMsg& m) { return m.dst == dst && m.tag == 1; }));
+}
+
+TEST(Master, ReportHysteresis) {
+  FakeContext ctx(1, 4);
+  MasterPolicy p;
+  p.init(ctx);
+  EXPECT_EQ(reports_after_poll(ctx, p, 10.0, 0), 1u);
+  // Inside max(1, 0.3 * 10): no report.
+  EXPECT_EQ(reports_after_poll(ctx, p, 12.0, 0), 1u);
+  EXPECT_EQ(reports_after_poll(ctx, p, 13.0, 0), 2u);
+  EXPECT_EQ(reader_of(ctx.sent_.back()).get<double>(), 13.0);
+}
+
+TEST(MultiList, MemberReportHysteresis) {
+  FakeContext ctx(5, 16);  // leader 4
+  MultiListPolicy p;
+  p.init(ctx);
+  EXPECT_EQ(reports_after_poll(ctx, p, 10.0, 4), 1u);
+  EXPECT_EQ(reports_after_poll(ctx, p, 12.0, 4), 1u);
+  EXPECT_EQ(reports_after_poll(ctx, p, 13.0, 4), 2u);
+  EXPECT_EQ(reader_of(ctx.sent_.back()).get<double>(), 13.0);
+}
+
+TEST(MultiList, DonorHonoursPushCommand) {
+  FakeContext ctx(1, 4);  // groups of 2: leader 0
+  MultiListPolicy p;
+  p.init(ctx);
+  for (std::uint32_t i = 0; i < 10; ++i) ctx.add_object({1, i}, 1.0);
+  util::ByteWriter w;
+  w.put<ProcId>(2);
+  w.put<double>(0.0);
+  util::ByteReader r(w.bytes());
+  p.on_message(ctx, 0, 3, r);
+  EXPECT_EQ(ctx.migrations_.size(), 5u);  // half the gap
+  for (const auto& m : ctx.migrations_) EXPECT_EQ(m.dst, 2);
+
+  // At or below the donate threshold (4): ships nothing, re-reports.
+  FakeContext low(1, 4);
+  MultiListPolicy q;
+  q.init(low);
+  for (std::uint32_t i = 0; i < 4; ++i) low.add_object({1, i}, 1.0);
+  util::ByteReader r2(w.bytes());
+  q.on_message(low, 0, 3, r2);
+  EXPECT_TRUE(low.migrations_.empty());
+  ASSERT_EQ(low.sent_.size(), 1u);
+  EXPECT_EQ(low.sent_[0].dst, 0);
+  EXPECT_EQ(low.sent_[0].tag, 1);
+  EXPECT_EQ(reader_of(low.sent_[0]).get<double>(), 4.0);
 }
 
 TEST(MultiList, LeaderMapping) {
