@@ -11,6 +11,8 @@ namespace prema::srp {
 
 using dmcs::Message;
 using dmcs::MsgKind;
+using mol::get_ptr;
+using mol::put_ptr;
 using util::ByteReader;
 using util::ByteWriter;
 using util::TimeCategory;
@@ -19,18 +21,6 @@ namespace {
 
 /// Completion counts are batched to the root every this many units.
 constexpr int kCompletionBatch = 32;
-
-void put_ptr(ByteWriter& w, const mol::MobilePtr& p) {
-  w.put<ProcId>(p.home);
-  w.put<std::uint32_t>(p.index);
-}
-
-mol::MobilePtr get_ptr(ByteReader& r) {
-  mol::MobilePtr p;
-  p.home = r.get<ProcId>();
-  p.index = r.get<std::uint32_t>();
-  return p;
-}
 
 }  // namespace
 

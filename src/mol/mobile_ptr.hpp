@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "sim/types.hpp"
+#include "support/byte_buffer.hpp"
 
 /// \file mobile_ptr.hpp
 /// The Mobile Object Layer's global name: a `mobile_ptr` identifies an
@@ -25,6 +26,19 @@ struct MobilePtr {
 };
 
 inline constexpr MobilePtr kNullMobilePtr{};
+
+/// Wire codec of a MobilePtr: home rank, then index.
+inline void put_ptr(util::ByteWriter& w, const MobilePtr& p) {
+  w.put<ProcId>(p.home);
+  w.put<std::uint32_t>(p.index);
+}
+
+inline MobilePtr get_ptr(util::ByteReader& r) {
+  MobilePtr p;
+  p.home = r.get<ProcId>();
+  p.index = r.get<std::uint32_t>();
+  return p;
+}
 
 }  // namespace prema::mol
 

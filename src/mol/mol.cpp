@@ -12,22 +12,6 @@ using dmcs::MsgKind;
 using util::ByteReader;
 using util::ByteWriter;
 
-namespace {
-
-void put_ptr(ByteWriter& w, const MobilePtr& p) {
-  w.put<ProcId>(p.home);
-  w.put<std::uint32_t>(p.index);
-}
-
-MobilePtr get_ptr(ByteReader& r) {
-  MobilePtr p;
-  p.home = r.get<ProcId>();
-  p.index = r.get<std::uint32_t>();
-  return p;
-}
-
-}  // namespace
-
 Mol::Mol(dmcs::Node& node, const ObjectTypeRegistry& types, dmcs::HandlerId route_h,
          dmcs::HandlerId migrate_h, dmcs::HandlerId update_h,
          dmcs::HandlerId offer_h, dmcs::HandlerId commit_h)
