@@ -1,21 +1,14 @@
 #include "ilb/policies/master.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "ilb/policies/donation.hpp"
 #include "support/assert.hpp"
 
 namespace prema::ilb {
 
 using util::ByteReader;
 using util::ByteWriter;
-
-namespace {
-
-/// Minimum relative load change before re-reporting to the manager.
-constexpr double kReportHysteresis = 0.3;
-
-}  // namespace
 
 void MasterPolicy::init(PolicyContext& ctx) {
   if (ctx.rank() == 0) {
@@ -35,10 +28,7 @@ void MasterPolicy::on_poll(PolicyContext& ctx) {
 
 void MasterPolicy::report_if_changed(PolicyContext& ctx) {
   const double load = ctx.local_load();
-  if (last_reported_ >= 0.0) {
-    const double floor = std::max(1.0, kReportHysteresis * last_reported_);
-    if (std::abs(load - last_reported_) < floor) return;
-  }
+  if (!report_due(load, last_reported_)) return;
   last_reported_ = load;
   ByteWriter w;
   w.put<double>(load);
@@ -94,21 +84,8 @@ void MasterPolicy::on_message(PolicyContext& ctx, ProcId from, PolicyTag tag,
     case kPush: {
       const auto needy = body.get<ProcId>();
       const double needy_load = body.get<double>();
-      const double mine = ctx.local_load();
-      if (mine <= ctx.donate_threshold()) {
-        report_if_changed(ctx);  // correct the manager's stale view
-        return;
-      }
-      const double quota = (mine - needy_load) / 2.0;
-      auto objects = ctx.migratable();
-      std::reverse(objects.begin(), objects.end());  // lightest first
-      double moved = 0.0;
-      for (const auto& obj : objects) {
-        if (moved > 0.0 && moved + obj.weight > quota) break;
-        ctx.migrate_object(obj.ptr, needy);
-        moved += obj.weight;
-      }
-      report_if_changed(ctx);
+      donate_half_gap(ctx, needy, needy_load);
+      report_if_changed(ctx);  // also corrects the manager's stale view
       return;
     }
     default:

@@ -3,19 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ilb/policies/donation.hpp"
 #include "support/assert.hpp"
 
 namespace prema::ilb {
 
 using util::ByteReader;
 using util::ByteWriter;
-
-namespace {
-
-/// Minimum relative load change before re-reporting to the leader.
-constexpr double kReportHysteresis = 0.3;
-
-}  // namespace
 
 void MultiListPolicy::init(PolicyContext& ctx) {
   // Groups of ceil(sqrt(nprocs)) consecutive ranks (at least 2), each led
@@ -27,10 +21,7 @@ void MultiListPolicy::init(PolicyContext& ctx) {
 
 void MultiListPolicy::report_if_changed(PolicyContext& ctx) {
   const double load = ctx.local_load();
-  if (last_reported_ >= 0.0) {
-    const double floor = std::max(1.0, kReportHysteresis * last_reported_);
-    if (std::abs(load - last_reported_) < floor) return;
-  }
+  if (!report_due(load, last_reported_)) return;
   last_reported_ = load;
   if (ctx.rank() == leader_) {
     member_load_[ctx.rank()] = load;
@@ -71,15 +62,7 @@ void MultiListPolicy::leader_serve(PolicyContext& ctx) {
       pending_.pop_front();
       continue;
     }
-    // Heaviest member of this group's list.
-    ProcId donor = kNoProc;
-    double donor_load = ctx.donate_threshold();
-    for (const auto& [p, l] : member_load_) {
-      if (l > donor_load) {
-        donor_load = l;
-        donor = p;
-      }
-    }
+    const auto [donor, donor_load] = heaviest_member(ctx);
     if (donor == needy) {
       pending_.pop_front();
       continue;
@@ -112,11 +95,7 @@ void MultiListPolicy::leader_report_group(PolicyContext& ctx) {
   if (ctx.rank() != leader_) return;
   double total = 0.0;
   for (const auto& [p, l] : member_load_) total += l;
-  const double floor = std::max(1.0, kReportHysteresis *
-                                         std::max(0.0, last_group_reported_));
-  if (last_group_reported_ >= 0.0 && std::abs(total - last_group_reported_) < floor) {
-    return;
-  }
+  if (!report_due(total, last_group_reported_)) return;
   last_group_reported_ = total;
   if (leader_ == 0) {
     // Rank 0 is both a group leader and the coordinator: record our own
@@ -158,21 +137,21 @@ void MultiListPolicy::coordinator_serve(PolicyContext& ctx) {
   }
 }
 
+std::pair<ProcId, double> MultiListPolicy::heaviest_member(
+    const PolicyContext& ctx) const {
+  ProcId donor = kNoProc;
+  double donor_load = ctx.donate_threshold();
+  for (const auto& [p, l] : member_load_) {
+    if (l > donor_load) {
+      donor_load = l;
+      donor = p;
+    }
+  }
+  return {donor, donor_load};
+}
+
 void MultiListPolicy::donate_to(PolicyContext& ctx, ProcId needy, double needy_load) {
-  const double mine = ctx.local_load();
-  if (mine <= ctx.donate_threshold()) {
-    report_if_changed(ctx);
-    return;
-  }
-  const double quota = (mine - needy_load) / 2.0;
-  auto objects = ctx.migratable();
-  std::reverse(objects.begin(), objects.end());  // lightest first
-  double moved = 0.0;
-  for (const auto& obj : objects) {
-    if (moved > 0.0 && moved + obj.weight > quota) break;
-    ctx.migrate_object(obj.ptr, needy);
-    moved += obj.weight;
-  }
+  donate_half_gap(ctx, needy, needy_load);
   report_if_changed(ctx);
 }
 
@@ -220,14 +199,7 @@ void MultiListPolicy::on_message(PolicyContext& ctx, ProcId from, PolicyTag tag,
       // We are the heaviest group's leader: ship from our heaviest member to
       // the starved group's leader, whose list redistributes it locally.
       const auto needy_leader = body.get<ProcId>();
-      ProcId donor = kNoProc;
-      double donor_load = ctx.donate_threshold();
-      for (const auto& [p, l] : member_load_) {
-        if (l > donor_load) {
-          donor_load = l;
-          donor = p;
-        }
-      }
+      const auto [donor, donor_load] = heaviest_member(ctx);
       if (donor == ctx.rank() || (donor == kNoProc && ctx.local_load() > ctx.donate_threshold())) {
         donate_to(ctx, needy_leader, 0.0);
       } else if (donor != kNoProc) {

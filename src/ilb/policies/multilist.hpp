@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "ilb/policies/stateless.hpp"
@@ -39,7 +40,12 @@ class MultiListPolicy final : public StatelessPolicy {
   void leader_serve(PolicyContext& ctx);
   void leader_report_group(PolicyContext& ctx);
   void coordinator_serve(PolicyContext& ctx);
+  /// Ship half the load gap to `needy`, then re-report.
   void donate_to(PolicyContext& ctx, ProcId needy, double needy_load);
+  /// The list's heaviest member above the donate threshold and its load;
+  /// kNoProc and the threshold when no member is above it.
+  [[nodiscard]] std::pair<ProcId, double> heaviest_member(
+      const PolicyContext& ctx) const;
 
   ProcId leader_ = 0;
   double last_reported_ = -1.0;
