@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "support/assert.hpp"
+#include "support/json.hpp"
 
 namespace prema::bench {
 
@@ -82,22 +83,6 @@ void JsonWriter::end_array() {
   os_ << "]";
 }
 
-namespace {
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += *s; break;
-    }
-  }
-  return out;
-}
-}  // namespace
-
 void JsonWriter::field(const char* key, double v) {
   separator(key);
   os_ << format_double(v);
@@ -129,7 +114,7 @@ void JsonWriter::field(const char* key, const std::string& v) {
 
 void JsonWriter::field(const char* key, const char* v) {
   separator(key);
-  os_ << "\"" << json_escape(v) << "\"";
+  os_ << "\"" << util::json_escape(v) << "\"";
 }
 
 void JsonWriter::element(double v) {
@@ -144,7 +129,7 @@ void JsonWriter::element(std::uint64_t v) {
 
 void JsonWriter::element(const std::string& v) {
   separator(nullptr);
-  os_ << "\"" << json_escape(v.c_str()) << "\"";
+  os_ << "\"" << util::json_escape(v) << "\"";
 }
 
 BenchReport::BenchReport(const std::string& path, const char* benchmark,

@@ -12,37 +12,13 @@
 #include <variant>
 #include <vector>
 
+#include "support/json.hpp"
 #include "support/log.hpp"
 #include "support/stats.hpp"
 
 namespace prema::trace {
 
 namespace {
-
-/// Escape a string for a JSON string literal (names are short identifiers,
-/// but be safe about quotes, backslashes and control characters).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Fixed-format microsecond timestamp: deterministic across runs.
 std::string us(double seconds) {
@@ -106,7 +82,7 @@ void write_chrome_trace(std::ostream& os, const TraceRecorder& rec) {
       const KindInfo& k = kind_info(e.kind);
       std::string line = "{\"name\":\"";
       const std::string_view custom = rec.name(e.name);
-      line += json_escape(custom.empty() ? k.name : custom);
+      line += util::json_escape(custom.empty() ? k.name : custom);
       line += "\",\"cat\":\"";
       line += k.category;
       line += "\",\"ph\":\"";

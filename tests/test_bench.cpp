@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "bench_support/bench_json.hpp"
 #include "bench_support/mesh_app.hpp"
 #include "bench_support/synthetic.hpp"
 
@@ -138,6 +139,17 @@ TEST(SyntheticBench, TerminationStaysOffTheCriticalPathAt2048Procs) {
   }
   EXPECT_LE(r.makespan, 1.05 * max_comp);
   EXPECT_LE(max_msg, 1.0);
+}
+
+TEST(JsonWriter, EscapesControlCharacters) {
+  std::ostringstream os;
+  {
+    JsonWriter jw(os);
+    jw.begin_object();
+    jw.field("s", "a\rb\x01");
+    jw.end_object();
+  }
+  EXPECT_NE(os.str().find("\"s\": \"a\\rb\\u0001\""), std::string::npos) << os.str();
 }
 
 TEST(MeshAppBench, AllSystemsBuildTheSameMesh) {
