@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "fault/fault_plan.hpp"
 #include "support/assert.hpp"
 
 namespace prema::dmcs {
@@ -159,6 +160,22 @@ bool ReliableLink::peer_lossy(ProcId peer) const {
     if (p.retries > 0) return true;
   }
   return false;
+}
+
+void corrupt_in_flight(Message& m) {
+  if ((m.rflags & Message::kReliable) == 0) return;
+  if (!m.payload.empty()) {
+    m.payload.resize(m.payload.size() / 2);
+  } else {
+    m.checksum ^= 0x1;
+  }
+}
+
+bool peer_degraded(const fault::FaultPlan* plan, const ReliableLink* link,
+                   ProcId self, ProcId p) {
+  if (p == self || plan == nullptr) return false;
+  if (plan->node_degraded(p)) return true;
+  return link != nullptr && link->peer_lossy(p);
 }
 
 }  // namespace prema::dmcs

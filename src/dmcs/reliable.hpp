@@ -41,6 +41,10 @@
 /// the local poller all enter the link concurrently; on the emulated machine
 /// the lock is uncontended and the call order is fixed by the event order.
 
+namespace prema::fault {
+class FaultPlan;
+}  // namespace prema::fault
+
 namespace prema::dmcs {
 
 /// Checksum the receiver validates (covers everything the wire could damage).
@@ -141,5 +145,19 @@ class ReliableLink {
   std::vector<Tx> tx_ PREMA_GUARDED_BY(mu_);  ///< indexed by destination rank
   std::vector<Rx> rx_ PREMA_GUARDED_BY(mu_);  ///< indexed by source rank
 };
+
+// -- the wire fault model, shared by both backends ----------------------------
+
+/// Damage one copy of a message on a corrupting link: a reliable copy loses
+/// half its payload (a checksum bit when it has none), so the receiver's
+/// checksum test discards it and a retransmit recovers. Unreliable copies
+/// (bare acks) pass unharmed.
+void corrupt_in_flight(Message& m);
+
+/// Node::peer_degraded for a node `self` whose machine runs `plan` (nullptr
+/// when fault-free) and whose reliable transport is `link`: true when the
+/// plan marks `p` degraded or the link to `p` is retransmitting.
+[[nodiscard]] bool peer_degraded(const fault::FaultPlan* plan,
+                                 const ReliableLink* link, ProcId self, ProcId p);
 
 }  // namespace prema::dmcs

@@ -50,11 +50,7 @@ bool SimNode::reliable_transport() const { return machine_.reliable(); }
 bool SimNode::transport_quiet() const { return !rlink_ || rlink_->quiet(); }
 
 bool SimNode::peer_degraded(ProcId p) const {
-  if (p == rank_) return false;
-  auto* plan = machine_.fault_plan();
-  if (plan == nullptr) return false;
-  if (plan->node_degraded(p)) return true;
-  return rlink_ != nullptr && rlink_->peer_lossy(p);
+  return dmcs::peer_degraded(machine_.fault_plan(), rlink_.get(), rank_, p);
 }
 
 void SimNode::send(ProcId dst, Message msg) {
@@ -89,24 +85,14 @@ void SimNode::wire_send(ProcId dst, Message&& msg) {
   SimNode& target = machine_.sim_node(dst);
   const double transfer =
       dst == rank_ ? 1e-9 : sim::net::transfer_time(msg.size_bytes());
-  auto* plan = machine_.fault_plan();
-  if (plan == nullptr || dst == rank_) {
-    // Legacy delivery; arithmetic and event order are byte-identical to the
-    // pre-fault-injection backend when no plan is installed.
-    sim::SimTime arrival = proc_.clock() + transfer;
-    auto& chan = channel_clock_[static_cast<std::size_t>(dst)];
-    arrival = std::max(arrival, chan + 1e-12);
-    chan = arrival;
-    eng_.at(arrival, [&target, m = std::move(msg)]() mutable {
-      target.on_wire(std::move(m));
-    });
-    return;
-  }
-
+  // A self-send never touches the wire; without a plan every send gets the
+  // default fate: one intact copy, on time, in order.
+  auto* plan = dst == rank_ ? nullptr : machine_.fault_plan();
+  const fault::WireFate fate =
+      plan != nullptr ? plan->on_send(rank_, dst) : fault::WireFate{};
   // Retransmits fire at engine time, which may be ahead of this processor's
   // charged clock; never schedule an arrival in the past.
   const sim::SimTime base = std::max(proc_.clock(), eng_.now());
-  const auto fate = plan->on_send(rank_, dst);
   const std::size_t bytes = msg.size_bytes();
   const auto trace_fault = [&](trace::FaultType type) {
     if (trace_) {
@@ -131,22 +117,14 @@ void SimNode::wire_send(ProcId dst, Message&& msg) {
   if (fate.reorder) trace_fault(trace::FaultType::kReorder);
   for (int i = 0; i < fate.copies; ++i) {
     Message m = (i + 1 == fate.copies) ? std::move(msg) : msg;
-    if (fate.corrupt && (m.rflags & Message::kReliable) != 0) {
-      // Model in-flight payload truncation; the receiver's checksum test
-      // catches it and the copy is discarded (no ack -> retransmit recovers).
-      if (!m.payload.empty()) {
-        m.payload.resize(m.payload.size() / 2);
-      } else {
-        m.checksum ^= 0x1;
-      }
-    }
+    if (fate.corrupt) corrupt_in_flight(m);
     sim::SimTime arrival = base + transfer + fate.extra_delay_s;
     if (fate.reorder) {
       // Reordered copies bypass the FIFO channel clamp: each lands at an
       // independently jittered point inside the reorder window.
       arrival = plan->release_time(dst, arrival + fate.reorder_jitter_s[i & 1]);
     } else {
-      arrival = plan->release_time(dst, arrival);
+      if (plan != nullptr) arrival = plan->release_time(dst, arrival);
       auto& chan = channel_clock_[static_cast<std::size_t>(dst)];
       arrival = std::max(arrival, chan + 1e-12);
       chan = arrival;

@@ -64,21 +64,13 @@ void ThreadNode::send(ProcId dst, Message msg) {
 }
 
 bool ThreadNode::peer_degraded(ProcId p) const {
-  if (p == rank_) return false;
-  auto* plan = machine_.fault_plan();
-  if (plan == nullptr) return false;
-  if (plan->node_degraded(p)) return true;
-  return rlink_ != nullptr && rlink_->peer_lossy(p);
+  return dmcs::peer_degraded(machine_.fault_plan(), rlink_.get(), rank_, p);
 }
 
 void ThreadNode::wire_send(ProcId dst, Message&& msg) {
   auto& target = static_cast<ThreadNode&>(machine_.node(dst));
-  auto* plan = machine_.fault_plan();
-  if (plan == nullptr) {  // defensive: rlink_ implies an active plan
-    target.transport_accept(std::move(msg));
-    return;
-  }
-  const auto fate = plan->on_send(rank_, dst);
+  // Only reliable traffic takes this path, and rlink_ implies an active plan.
+  const fault::WireFate fate = machine_.fault_plan()->on_send(rank_, dst);
   const std::size_t bytes = msg.size_bytes();
   const auto trace_fault = [&](trace::FaultType type) {
     if (trace_) {
@@ -96,13 +88,7 @@ void ThreadNode::wire_send(ProcId dst, Message&& msg) {
   if (fate.corrupt) trace_fault(trace::FaultType::kCorrupt);
   for (int i = 0; i < fate.copies; ++i) {
     Message m = (i + 1 == fate.copies) ? std::move(msg) : msg;
-    if (fate.corrupt && (m.rflags & Message::kReliable) != 0) {
-      if (!m.payload.empty()) {
-        m.payload.resize(m.payload.size() / 2);
-      } else {
-        m.checksum ^= 0x1;
-      }
-    }
+    if (fate.corrupt) corrupt_in_flight(m);
     target.transport_accept(std::move(m));
   }
 }
