@@ -109,9 +109,8 @@ int main(int argc, char** argv) {
   dmcs::PollingConfig pcfg;
   pcfg.mode = dmcs::PollingMode::kPreemptive;
   dmcs::SimMachine machine(mcfg, pcfg);
-  if (fault_profile != "none") {
-    machine.set_fault_plan(std::make_shared<fault::FaultPlan>(
-        fault::make_fault_profile(fault_profile), fault_seed, mcfg.nprocs));
+  machine.set_fault_profile(fault_profile, fault_seed);
+  if (machine.fault_plan() != nullptr) {
     std::printf("quickstart: fault profile %s (seed %llu), reliable transport on\n",
                 fault_profile.c_str(),
                 static_cast<unsigned long long>(fault_seed));

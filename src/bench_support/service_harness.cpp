@@ -42,12 +42,6 @@ std::uint64_t mix_client(std::uint64_t c) {
   return c ^ (c >> 31);
 }
 
-void maybe_install_fault_plan(dmcs::Machine& machine, const ServiceScenario& sc) {
-  if (sc.fault_profile.empty() || sc.fault_profile == "none") return;
-  machine.set_fault_plan(std::make_shared<fault::FaultPlan>(
-      fault::make_fault_profile(sc.fault_profile), sc.fault_seed, sc.nprocs));
-}
-
 ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
                      bool sim_backend, double mflops) {
   RuntimeConfig rcfg;
@@ -204,7 +198,7 @@ ServiceReport run_service_scenario(const ServiceScenario& sc) {
     dmcs::PollingConfig pcfg;
     pcfg.mode = dmcs::PollingMode::kPreemptive;
     dmcs::SimMachine machine(mcfg, pcfg);
-    maybe_install_fault_plan(machine, sc);
+    machine.set_fault_profile(sc.fault_profile, sc.fault_seed);
     return run_on(machine, sc, /*sim_backend=*/true, sc.proc_mflops);
   }
   dmcs::ThreadConfig tcfg;
@@ -213,7 +207,7 @@ ServiceReport run_service_scenario(const ServiceScenario& sc) {
   tcfg.polling.mode = dmcs::PollingMode::kPreemptive;
   tcfg.seed = sc.seed;
   dmcs::ThreadMachine machine(tcfg);
-  maybe_install_fault_plan(machine, sc);
+  machine.set_fault_profile(sc.fault_profile, sc.fault_seed);
   return run_on(machine, sc, /*sim_backend=*/false, sc.thread_mflops);
 }
 

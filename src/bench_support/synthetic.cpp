@@ -10,7 +10,6 @@
 #include "charm/charmlite.hpp"
 #include "dmcs/sim_machine.hpp"
 #include "dmcs/thread_machine.hpp"
-#include "fault/fault_plan.hpp"
 #include "ilb/policies/work_stealing.hpp"
 #include "prema/runtime.hpp"
 #include "support/stats.hpp"
@@ -96,14 +95,6 @@ class WorkChare : public charmlite::Chare {
   std::vector<std::uint8_t> blob_;
 };
 
-/// Install the configured fault plan (if any) on `machine`. Must run before
-/// Machine::run so the backends create their reliable links at startup.
-void maybe_install_fault_plan(dmcs::Machine& machine, const SyntheticConfig& cfg) {
-  if (cfg.fault_profile.empty() || cfg.fault_profile == "none") return;
-  machine.set_fault_plan(std::make_shared<fault::FaultPlan>(
-      fault::make_fault_profile(cfg.fault_profile), cfg.fault_seed, cfg.nprocs));
-}
-
 /// Attach a trace recorder to `machine` if the config asks for one. Works for
 /// all three runtimes because the hooks live at the Node/Machine layer.
 void maybe_enable_trace(dmcs::Machine& machine, const SyntheticConfig& cfg) {
@@ -184,7 +175,7 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
     owner = std::make_unique<dmcs::ThreadMachine>(tcfg);
   }
   dmcs::Machine& machine = *owner;
-  maybe_install_fault_plan(machine, cfg);
+  machine.set_fault_profile(cfg.fault_profile, cfg.fault_seed);
 
   RuntimeConfig rcfg;
   rcfg.trace.enabled = !cfg.trace_out.empty();
@@ -271,7 +262,7 @@ RunReport run_srp(const SyntheticConfig& cfg) {
   mcfg.mflops = cfg.proc_mflops;
   mcfg.seed = cfg.seed;
   dmcs::SimMachine machine(mcfg);  // explicit polling
-  maybe_install_fault_plan(machine, cfg);
+  machine.set_fault_profile(cfg.fault_profile, cfg.fault_seed);
   maybe_enable_trace(machine, cfg);
 
   srp::SrpConfig scfg;
@@ -327,7 +318,7 @@ RunReport run_charm(System sys, const SyntheticConfig& cfg) {
   mcfg.mflops = cfg.proc_mflops;
   mcfg.seed = cfg.seed;
   dmcs::SimMachine machine(mcfg);  // Charm never preempts entries
-  maybe_install_fault_plan(machine, cfg);
+  machine.set_fault_profile(cfg.fault_profile, cfg.fault_seed);
   maybe_enable_trace(machine, cfg);
 
   charmlite::CharmConfig ccfg;

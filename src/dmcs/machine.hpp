@@ -1,7 +1,9 @@
 #pragma once
 
 #include <functional>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "dmcs/node.hpp"
@@ -62,6 +64,16 @@ class Machine {
   /// legacy loss-free path byte-identical to a machine with no plan at all.
   void set_fault_plan(std::shared_ptr<fault::FaultPlan> plan) {
     fault_plan_ = std::move(plan);
+  }
+
+  /// Install the canned fault profile `name` (fault::make_fault_profile,
+  /// which aborts on an unknown name) seeded with `seed` (call before
+  /// run()). "none" or "" installs nothing: a plan allocates one RNG stream
+  /// per directed link, nprocs^2 in all.
+  void set_fault_profile(const std::string& name, std::uint64_t seed) {
+    if (name.empty() || name == "none") return;
+    set_fault_plan(std::make_shared<fault::FaultPlan>(fault::make_fault_profile(name),
+                                                      seed, nprocs()));
   }
 
   /// The active fault plan, or nullptr when the machine runs fault-free
