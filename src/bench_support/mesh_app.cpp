@@ -3,9 +3,7 @@
 #include <memory>
 
 #include "bench_support/stop_repartition.hpp"
-#include "dmcs/sim_machine.hpp"
 #include "prema/runtime.hpp"
-#include "support/stats.hpp"
 
 namespace prema::bench {
 
@@ -14,7 +12,6 @@ using mesh::MeshSubdomain;
 using mesh::Vec3;
 using util::ByteReader;
 using util::ByteWriter;
-using util::TimeCategory;
 
 const char* mesh_system_name(MeshSystem s) {
   switch (s) {
@@ -120,23 +117,6 @@ std::vector<std::uint8_t> refine_payload(int phase, int g) {
   return w.take();
 }
 
-void fill_report(MeshAppReport& rep, dmcs::Machine& machine, int nprocs) {
-  util::RunningStats comp;
-  for (ProcId p = 0; p < nprocs; ++p) {
-    const auto& l = machine.ledger(p);
-    comp.add(l.get(TimeCategory::kComputation));
-    rep.comp_total += l.get(TimeCategory::kComputation);
-    rep.overhead_total += l.get(TimeCategory::kMessaging) +
-                          l.get(TimeCategory::kScheduling) +
-                          l.get(TimeCategory::kPolling);
-    rep.sync_total += l.get(TimeCategory::kSynchronization);
-  }
-  rep.comp_stddev = comp.stddev();
-  if (rep.comp_total > 0) {
-    rep.overhead_pct = 100.0 * rep.overhead_total / rep.comp_total;
-  }
-}
-
 /// The driver body is identical for PREMA and SRP up to the runtime types;
 /// express it once against the common surface both expose.
 template <typename Runtime, typename Context>
@@ -221,29 +201,25 @@ MeshAppReport drive(Runtime& rt, dmcs::Machine& machine, MeshSystem sys,
   rep.makespan = rt.run();
   rep.total_tets = counters.total_tets;
   rep.refinements = counters.refinements;
-  fill_report(rep, machine, cfg.nprocs);
+  fill_ledger_figures(rep, machine);
   return rep;
 }
 
 }  // namespace
 
 MeshAppReport run_mesh_app(MeshSystem sys, const MeshAppConfig& cfg) {
-  sim::MachineConfig mcfg;
-  mcfg.nprocs = cfg.nprocs;
-  mcfg.mflops = kProcMflops;
-  mcfg.seed = cfg.seed;
   Counters counters;
 
   if (sys == MeshSystem::kStopRepartition) {
-    dmcs::SimMachine machine(mcfg);
+    const auto machine = make_machine("sim", cfg.nprocs, kProcMflops, cfg.seed);
     srp::SrpConfig scfg;
     scfg.cooldown_s = cfg.srp_cooldown_s;
     scfg.min_outstanding_fraction = kSrpMinOutstanding;
     scfg.proc_mflops = kProcMflops;
-    srp::Runtime rt(machine, scfg);
+    srp::Runtime rt(*machine, scfg);
     rt.set_total_units(static_cast<std::int64_t>(cfg.grid) * cfg.grid * cfg.grid *
                        cfg.phases);
-    auto rep = drive<srp::Runtime, srp::Context>(rt, machine, sys, cfg, counters);
+    auto rep = drive<srp::Runtime, srp::Context>(rt, *machine, sys, cfg, counters);
     rep.migrations = rt.migrations();
     return rep;
   }
@@ -252,11 +228,11 @@ MeshAppReport run_mesh_app(MeshSystem sys, const MeshAppConfig& cfg) {
   pcfg.mode = sys == MeshSystem::kPremaImplicit ? dmcs::PollingMode::kPreemptive
                                                 : dmcs::PollingMode::kExplicit;
   pcfg.interval_s = kPollIntervalS;
-  dmcs::SimMachine machine(mcfg, pcfg);
+  const auto machine = make_machine("sim", cfg.nprocs, kProcMflops, cfg.seed, pcfg);
   RuntimeConfig rcfg;
   rcfg.policy = sys == MeshSystem::kNoLB ? "null" : "work_stealing";
-  Runtime rt(machine, rcfg);
-  auto rep = drive<Runtime, prema::Context>(rt, machine, sys, cfg, counters);
+  Runtime rt(*machine, rcfg);
+  auto rep = drive<Runtime, prema::Context>(rt, *machine, sys, cfg, counters);
   for (ProcId p = 0; p < cfg.nprocs; ++p) {
     rep.migrations += rt.mol_at(p).stats().migrations_in;
   }

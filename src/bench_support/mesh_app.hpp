@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "bench_support/harness.hpp"
 #include "mesh/subdomain.hpp"
 
 /// \file mesh_app.hpp
@@ -47,18 +48,13 @@ enum class MeshSystem : std::uint8_t {
 
 const char* mesh_system_name(MeshSystem s);
 
-struct MeshAppReport {
+struct MeshAppReport : LedgerFigures {
   MeshSystem system{};
   std::string label;
   double makespan = 0.0;
   std::int64_t total_tets = 0;   ///< real elements generated, all phases
   std::int64_t refinements = 0;  ///< subdomain-phase executions
   std::uint64_t migrations = 0;
-  double comp_total = 0.0;
-  double overhead_total = 0.0;   ///< messaging + scheduling + polling
-  double sync_total = 0.0;
-  double overhead_pct = 0.0;
-  double comp_stddev = 0.0;
 };
 
 /// Run the mesh application under one system on the emulated machine.

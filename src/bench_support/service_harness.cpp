@@ -2,8 +2,7 @@
 
 #include <memory>
 
-#include "dmcs/sim_machine.hpp"
-#include "dmcs/thread_machine.hpp"
+#include "bench_support/harness.hpp"
 #include "fault/fault_plan.hpp"
 #include "prema/runtime.hpp"
 #include "support/assert.hpp"
@@ -188,27 +187,13 @@ ServiceReport run_on(dmcs::Machine& machine, const ServiceScenario& sc,
 }  // namespace
 
 ServiceReport run_service_scenario(const ServiceScenario& sc) {
-  PREMA_CHECK_MSG(sc.backend == "sim" || sc.backend == "thread",
-                  "service backend must be sim or thread");
-  if (sc.backend == "sim") {
-    sim::MachineConfig mcfg;
-    mcfg.nprocs = sc.nprocs;
-    mcfg.mflops = sc.proc_mflops;
-    mcfg.seed = sc.seed;
-    dmcs::PollingConfig pcfg;
-    pcfg.mode = dmcs::PollingMode::kPreemptive;
-    dmcs::SimMachine machine(mcfg, pcfg);
-    machine.set_fault_profile(sc.fault_profile, sc.fault_seed);
-    return run_on(machine, sc, /*sim_backend=*/true, sc.proc_mflops);
-  }
-  dmcs::ThreadConfig tcfg;
-  tcfg.nprocs = sc.nprocs;
-  tcfg.mflops = sc.thread_mflops;
-  tcfg.polling.mode = dmcs::PollingMode::kPreemptive;
-  tcfg.seed = sc.seed;
-  dmcs::ThreadMachine machine(tcfg);
-  machine.set_fault_profile(sc.fault_profile, sc.fault_seed);
-  return run_on(machine, sc, /*sim_backend=*/false, sc.thread_mflops);
+  const bool sim_backend = sc.backend == "sim";
+  const double mflops = sim_backend ? sc.proc_mflops : sc.thread_mflops;
+  dmcs::PollingConfig pcfg;
+  pcfg.mode = dmcs::PollingMode::kPreemptive;
+  const auto machine = make_machine(sc.backend, sc.nprocs, mflops, sc.seed, pcfg);
+  machine->set_fault_profile(sc.fault_profile, sc.fault_seed);
+  return run_on(*machine, sc, sim_backend, mflops);
 }
 
 }  // namespace prema::bench

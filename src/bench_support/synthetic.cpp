@@ -8,8 +8,6 @@
 
 #include "bench_support/stop_repartition.hpp"
 #include "charm/charmlite.hpp"
-#include "dmcs/sim_machine.hpp"
-#include "dmcs/thread_machine.hpp"
 #include "ilb/policies/work_stealing.hpp"
 #include "prema/runtime.hpp"
 #include "support/stats.hpp"
@@ -119,25 +117,6 @@ double unit_mflop(const SyntheticConfig& cfg, std::int64_t global_index,
   return global_index < heavy_count ? cfg.heavy_mflop : cfg.light_mflop;
 }
 
-void finalize(RunReport& r, const SyntheticConfig& cfg) {
-  util::RunningStats comp;
-  for (const auto& l : r.ledgers) {
-    comp.add(l.get(TimeCategory::kComputation));
-    r.comp_total += l.get(TimeCategory::kComputation);
-    r.overhead_total += l.get(TimeCategory::kMessaging) +
-                        l.get(TimeCategory::kScheduling) +
-                        l.get(TimeCategory::kPolling);
-    r.sync_total += l.get(TimeCategory::kSynchronization);
-    r.partition_total += l.get(TimeCategory::kPartitionCalc);
-  }
-  r.comp_stddev = comp.stddev();
-  if (r.comp_total > 0) {
-    r.overhead_pct = 100.0 * r.overhead_total / r.comp_total;
-    r.sync_pct = 100.0 * r.sync_total / r.comp_total;
-  }
-  (void)cfg;
-}
-
 /// Unit coordinates for the topology-aware policies: units laid out on a
 /// cubic grid in creation order, so curve locality mirrors index locality.
 /// Registration is unconditional — a no-op unless the policy wants topology.
@@ -153,27 +132,13 @@ mol::Coords unit_coords(std::int64_t g, std::int64_t total) {
 }
 
 RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
-  const bool sim_backend = cfg.backend != "thread";
   dmcs::PollingConfig pcfg;
   pcfg.mode = sys == System::kPremaImplicit ? dmcs::PollingMode::kPreemptive
                                             : dmcs::PollingMode::kExplicit;
   pcfg.interval_s = cfg.poll_interval_s;
-
-  std::unique_ptr<dmcs::Machine> owner;
-  if (sim_backend) {
-    sim::MachineConfig mcfg;
-    mcfg.nprocs = cfg.nprocs;
-    mcfg.mflops = cfg.proc_mflops;
-    mcfg.seed = cfg.seed;
-    owner = std::make_unique<dmcs::SimMachine>(mcfg, pcfg);
-  } else {
-    dmcs::ThreadConfig tcfg;
-    tcfg.nprocs = cfg.nprocs;
-    tcfg.mflops = cfg.thread_mflops;
-    tcfg.polling = pcfg;
-    tcfg.seed = cfg.seed;
-    owner = std::make_unique<dmcs::ThreadMachine>(tcfg);
-  }
+  const auto owner = make_machine(
+      cfg.backend, cfg.nprocs,
+      cfg.backend == "thread" ? cfg.thread_mflops : cfg.proc_mflops, cfg.seed, pcfg);
   dmcs::Machine& machine = *owner;
   machine.set_fault_profile(cfg.fault_profile, cfg.fault_seed);
 
@@ -206,7 +171,7 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
       });
 
   const std::int64_t total = static_cast<std::int64_t>(cfg.nprocs) * cfg.units_per_proc;
-  rt.set_main([&rt, &cfg, work, total](Context& ctx) {
+  rt.set_main([&cfg, work, total](Context& ctx) {
     // Block distribution: this rank creates & seeds its slice of the units.
     const std::int64_t first = static_cast<std::int64_t>(ctx.rank()) * cfg.units_per_proc;
     for (std::int64_t i = 0; i < cfg.units_per_proc; ++i) {
@@ -218,14 +183,13 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
       const double hint = cfg.accurate_hints ? mflop / cfg.light_mflop : 1.0;
       ctx.message(ptr, work, {}, hint);
     }
-    (void)rt;
   });
 
   RunReport rep;
   rep.system = sys;
   rep.label = system_name(sys);
   rep.policy = policy;
-  rep.backend = sim_backend ? "sim" : "thread";
+  rep.backend = cfg.backend;
   rep.makespan = rt.run();
   for (ProcId p = 0; p < cfg.nprocs; ++p) {
     rep.executed += executed_by[static_cast<std::size_t>(p)];
@@ -251,17 +215,14 @@ RunReport run_prema_family(System sys, const SyntheticConfig& cfg) {
     PREMA_CHECK_MSG(rt.termination_detected(),
                     "delivery ledger: termination not detected");
   }
-  finalize(rep, cfg);
+  fill_ledger_figures(rep, machine);
   maybe_export_trace(machine, cfg, rep);
   return rep;
 }
 
 RunReport run_srp(const SyntheticConfig& cfg) {
-  sim::MachineConfig mcfg;
-  mcfg.nprocs = cfg.nprocs;
-  mcfg.mflops = cfg.proc_mflops;
-  mcfg.seed = cfg.seed;
-  dmcs::SimMachine machine(mcfg);  // explicit polling
+  const auto owner = make_machine("sim", cfg.nprocs, cfg.proc_mflops, cfg.seed);
+  dmcs::Machine& machine = *owner;  // explicit polling
   machine.set_fault_profile(cfg.fault_profile, cfg.fault_seed);
   maybe_enable_trace(machine, cfg);
 
@@ -303,7 +264,7 @@ RunReport run_srp(const SyntheticConfig& cfg) {
   rep.executed = executed;
   rep.migrations = rt.migrations();
   for (ProcId p = 0; p < cfg.nprocs; ++p) rep.ledgers.push_back(machine.ledger(p));
-  finalize(rep, cfg);
+  fill_ledger_figures(rep, machine);
   maybe_export_trace(machine, cfg, rep);
   return rep;
 }
@@ -313,11 +274,8 @@ RunReport run_charm(System sys, const SyntheticConfig& cfg) {
   const std::int64_t total = static_cast<std::int64_t>(cfg.nprocs) * cfg.units_per_proc;
   const auto n_chares = static_cast<charmlite::ChareIdx>(total / phases);
 
-  sim::MachineConfig mcfg;
-  mcfg.nprocs = cfg.nprocs;
-  mcfg.mflops = cfg.proc_mflops;
-  mcfg.seed = cfg.seed;
-  dmcs::SimMachine machine(mcfg);  // Charm never preempts entries
+  const auto owner = make_machine("sim", cfg.nprocs, cfg.proc_mflops, cfg.seed);
+  dmcs::Machine& machine = *owner;  // Charm never preempts entries
   machine.set_fault_profile(cfg.fault_profile, cfg.fault_seed);
   maybe_enable_trace(machine, cfg);
 
@@ -359,7 +317,7 @@ RunReport run_charm(System sys, const SyntheticConfig& cfg) {
   rep.executed = executed;
   rep.migrations = rt.migrations();
   for (ProcId p = 0; p < cfg.nprocs; ++p) rep.ledgers.push_back(machine.ledger(p));
-  finalize(rep, cfg);
+  fill_ledger_figures(rep, machine);
   maybe_export_trace(machine, cfg, rep);
   return rep;
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_support/harness.hpp"
 #include "support/time_ledger.hpp"
 
 /// \file synthetic.hpp
@@ -91,22 +92,15 @@ struct SyntheticConfig {
   std::uint64_t fault_seed = 7;
 };
 
-struct RunReport {
+/// One panel's run: its ledgers, the paper's ledger figures over them
+/// (LedgerFigures), and the conservation audit.
+struct RunReport : LedgerFigures {
   System system{};
   std::string label;
   std::string policy;   ///< resolved policy name (PREMA systems; "" otherwise)
   std::string backend;  ///< "sim" | "thread"
   double makespan = 0.0;
   std::vector<util::TimeLedger> ledgers;
-
-  // Derived quantities reported by the paper.
-  double comp_stddev = 0.0;     ///< stddev of per-proc computation time
-  double comp_total = 0.0;      ///< proc-seconds of useful computation
-  double overhead_total = 0.0;  ///< messaging + scheduling + polling
-  double sync_total = 0.0;
-  double partition_total = 0.0;
-  double overhead_pct = 0.0;    ///< overhead_total / comp_total * 100
-  double sync_pct = 0.0;        ///< sync_total / comp_total * 100
   std::uint64_t migrations = 0;
   std::int64_t executed = 0;
 
