@@ -1,39 +1,19 @@
 #include "support/log.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include "support/thread_annotations.hpp"
+#include <string>
 
 namespace prema::util {
 namespace {
 
-/// The output sink. Guarded so concurrent logf calls from thread-backend
-/// workers cannot interleave the prefix / body / newline writes of a line.
-struct SinkState {
-  util::Mutex mu;
-  std::FILE* stream PREMA_GUARDED_BY(mu) = nullptr;  ///< nullptr = stderr
-};
-
-SinkState& sink() {
-  static SinkState s;
-  return s;
-}
-
-LogLevel initial_level() {
+LogLevel level_from_env() {
   const char* env = std::getenv("PREMA_LOG");
   if (env == nullptr) return LogLevel::kWarn;
   if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
   if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
   if (std::strcmp(env, "error") == 0) return LogLevel::kError;
   return LogLevel::kWarn;
-}
-
-std::atomic<int>& level_storage() {
-  static std::atomic<int> level{static_cast<int>(initial_level())};
-  return level;
 }
 
 const char* level_tag(LogLevel level) {
@@ -48,36 +28,24 @@ const char* level_tag(LogLevel level) {
 
 }  // namespace
 
-// Relaxed on both sides: the level is an isolated verbosity knob — readers
-// want a recent value, nothing else is published through it, and the hot
-// log_level() check must not fence every call site.
-void set_log_level(LogLevel lvl) {
-  std::atomic<int>& level = level_storage();
-  level.store(static_cast<int>(lvl), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  std::atomic<int>& level = level_storage();
-  return static_cast<LogLevel>(level.load(std::memory_order_relaxed));
-}
-
-void set_log_sink(std::FILE* stream) {
-  SinkState& s = sink();
-  util::LockGuard g(s.mu);
-  s.stream = stream;
-}
-
 void logf(LogLevel level, const char* fmt, ...) {
-  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  SinkState& s = sink();
-  util::LockGuard g(s.mu);
-  std::FILE* out = s.stream != nullptr ? s.stream : stderr;
-  std::fprintf(out, "[prema %s] ", level_tag(level));
+  static const LogLevel threshold = level_from_env();
+  if (static_cast<int>(level) < static_cast<int>(threshold)) return;
+  std::string line = std::string("[prema ") + level_tag(level) + "] ";
+  const std::size_t prefix = line.size();
   va_list args;
   va_start(args, fmt);
-  std::vfprintf(out, fmt, args);
+  va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  const std::size_t body = n > 0 ? static_cast<std::size_t>(n) : 0;
+  // The body's terminating NUL lands on the last byte, which becomes '\n'.
+  line.resize(prefix + body + 1);
+  if (body > 0) std::vsnprintf(line.data() + prefix, body + 1, fmt, args);
   va_end(args);
-  std::fputc('\n', out);
+  line.back() = '\n';
+  std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 }  // namespace prema::util

@@ -4,26 +4,17 @@
 #include <cstdio>
 
 /// \file log.hpp
-/// Minimal leveled logging. Default level is Warn so tests and benchmarks stay
-/// quiet; set PREMA_LOG=debug|info|warn|error in the environment or call
-/// set_log_level to change it.
+/// Minimal leveled logging to stderr. Default level is Warn so tests and
+/// benchmarks stay quiet; set PREMA_LOG=debug|info|warn|error in the
+/// environment to change it (read once, at the first log statement).
 
 namespace prema::util {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Set the global log threshold.
-void set_log_level(LogLevel level);
-
-/// Current global log threshold (initialized from the PREMA_LOG env var).
-LogLevel log_level();
-
-/// Redirect log output to `stream` (nullptr restores the default, stderr).
-/// The thread-backend workers log concurrently, so the sink is mutex-guarded
-/// and each logf line is emitted atomically.
-void set_log_sink(std::FILE* stream);
-
 /// printf-style log statement; drops the message if below the threshold.
+/// Each line goes out in one stdio call, which locks the stream, so lines
+/// from concurrent thread-backend workers never interleave.
 void logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 }  // namespace prema::util
