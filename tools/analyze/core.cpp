@@ -242,27 +242,60 @@ SourceFile make_file(std::string rel, std::string raw) {
 // Lock hierarchy
 // ---------------------------------------------------------------------------
 
-std::vector<LockEntry> parse_hierarchy(std::string_view text) {
-  std::vector<LockEntry> entries;
+namespace {
+
+/// One non-blank manifest line: its 1-based number and its whitespace-
+/// separated fields, with any '#' comment stripped.
+struct ManifestLine {
+  int line = 0;
+  std::vector<std::string> fields;
+};
+
+/// The manifest reader every checked-in table shares (lock_hierarchy.txt,
+/// the protocol specs, atomics.txt).
+std::vector<ManifestLine> read_manifest(std::string_view text) {
+  std::vector<ManifestLine> lines;
+  int lineno = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const std::size_t eol = std::min(text.find('\n', pos), text.size());
     std::string line(text.substr(pos, eol - pos));
     pos = eol + 1;
+    ++lineno;
     if (const auto hash = line.find('#'); hash != std::string::npos) {
       line.resize(hash);
     }
-    std::vector<std::string> fields;
+    ManifestLine ml;
+    ml.line = lineno;
     std::string cur;
     for (const char c : line + " ") {
       if (c == ' ' || c == '\t' || c == '\r') {
-        if (!cur.empty()) fields.push_back(cur);
+        if (!cur.empty()) ml.fields.push_back(cur);
         cur.clear();
       } else {
         cur.push_back(c);
       }
     }
-    if (fields.empty()) continue;
+    if (!ml.fields.empty()) lines.push_back(std::move(ml));
+  }
+  return lines;
+}
+
+/// Split a `key=value` field at its first '='; false when it has none.
+bool split_key_value(const std::string& kv, std::string& key, std::string& value) {
+  const std::size_t eq = kv.find('=');
+  if (eq == std::string::npos) return false;
+  key = kv.substr(0, eq);
+  value = kv.substr(eq + 1);
+  return true;
+}
+
+}  // namespace
+
+std::vector<LockEntry> parse_hierarchy(std::string_view text) {
+  std::vector<LockEntry> entries;
+  for (const ManifestLine& ml : read_manifest(text)) {
+    const std::vector<std::string>& fields = ml.fields;
     LockEntry e;
     e.name = fields[0];
     if (fields.size() >= 2) {
@@ -307,31 +340,13 @@ std::optional<ProtocolSpec> parse_protocol_spec(const std::string& spec_name,
                                                 std::vector<Finding>& errors) {
   ProtocolSpec spec;
   bool bad = false;
-  int lineno = 0;
-  std::size_t pos = 0;
   auto err = [&](int line, const std::string& msg) {
     errors.push_back({"protocol-fsm-spec", spec_name, line, msg});
     bad = true;
   };
-  while (pos <= text.size()) {
-    const std::size_t eol = std::min(text.find('\n', pos), text.size());
-    std::string line(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    ++lineno;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::vector<std::string> fields;
-    std::string cur;
-    for (const char c : line + " ") {
-      if (c == ' ' || c == '\t' || c == '\r') {
-        if (!cur.empty()) fields.push_back(cur);
-        cur.clear();
-      } else {
-        cur.push_back(c);
-      }
-    }
-    if (fields.empty()) continue;
+  for (const ManifestLine& ml : read_manifest(text)) {
+    const std::vector<std::string>& fields = ml.fields;
+    const int lineno = ml.line;
     const std::string& kw = fields[0];
     if (kw == "protocol") {
       if (fields.size() != 2) {
@@ -359,14 +374,11 @@ std::optional<ProtocolSpec> parse_protocol_spec(const std::string& spec_name,
       t.name = fields[1];
       t.line = lineno;
       for (std::size_t i = 2; i < fields.size(); ++i) {
-        const std::string& kv = fields[i];
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos) {
-          err(lineno, "transition attribute '" + kv + "' is not key=value");
+        std::string key, value;
+        if (!split_key_value(fields[i], key, value)) {
+          err(lineno, "transition attribute '" + fields[i] + "' is not key=value");
           continue;
         }
-        const std::string key = kv.substr(0, eq);
-        const std::string value = kv.substr(eq + 1);
         if (key == "fn") {
           t.fn = value;
         } else if (key == "files") {
@@ -423,27 +435,9 @@ std::vector<AtomicEntry> parse_atomics_manifest(const std::string& manifest_name
   auto err = [&](int line, const std::string& msg) {
     errors.push_back({"atomic-manifest", manifest_name, line, msg});
   };
-  int lineno = 0;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = std::min(text.find('\n', pos), text.size());
-    std::string line(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    ++lineno;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::vector<std::string> fields;
-    std::string cur;
-    for (const char c : line + " ") {
-      if (c == ' ' || c == '\t' || c == '\r') {
-        if (!cur.empty()) fields.push_back(cur);
-        cur.clear();
-      } else {
-        cur.push_back(c);
-      }
-    }
-    if (fields.empty()) continue;
+  for (const ManifestLine& ml : read_manifest(text)) {
+    const std::vector<std::string>& fields = ml.fields;
+    const int lineno = ml.line;
     AtomicEntry e;
     e.line = lineno;
     e.name = fields[0];
@@ -453,15 +447,12 @@ std::vector<AtomicEntry> parse_atomics_manifest(const std::string& manifest_name
     }
     bool bad = false;
     for (std::size_t i = 1; i < fields.size(); ++i) {
-      const std::string& kv = fields[i];
-      const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) {
-        err(lineno, "attribute '" + kv + "' is not key=value");
+      std::string key, value;
+      if (!split_key_value(fields[i], key, value)) {
+        err(lineno, "attribute '" + fields[i] + "' is not key=value");
         bad = true;
         continue;
       }
-      const std::string key = kv.substr(0, eq);
-      const std::string value = kv.substr(eq + 1);
       if (key == "role") {
         if (kRoles.count(value) == 0) {
           err(lineno, "unknown role '" + value +
