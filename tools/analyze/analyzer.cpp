@@ -7,14 +7,14 @@ namespace prema::analyze {
 
 const std::vector<PassInfo>& all_passes() {
   static const std::vector<PassInfo> passes = {
-      {"conventions", pass_conventions, /*needs_index=*/false},
-      {"lock-order", pass_lock_order, false},
-      {"serialization", pass_serialization, false},
-      {"lock-flow", pass_lock_flow, /*needs_index=*/true},
-      {"protocol-fsm", pass_protocol_fsm, true},
-      {"sim-purity", pass_sim_purity, true},
-      {"atomics", pass_atomics, true},
-      {"mixed-access", pass_mixed_access, true},
+      {"conventions", pass_conventions},
+      {"lock-order", pass_lock_order},
+      {"serialization", pass_serialization},
+      {"lock-flow", pass_lock_flow},
+      {"protocol-fsm", pass_protocol_fsm},
+      {"sim-purity", pass_sim_purity},
+      {"atomics", pass_atomics},
+      {"mixed-access", pass_mixed_access},
   };
   return passes;
 }
@@ -29,17 +29,13 @@ void run_all_passes(const Tree& tree, const Options& opts, Findings& out,
   for (const PassInfo& p : all_passes()) {
     if (only.empty() || only.count(p.name) != 0) selected.push_back(&p);
   }
-  // Build the whole-program index once and share it: the index passes would
+  // Build the whole-program index once and share it: the passes would
   // otherwise each build their own.
   Options shared = opts;
   std::optional<Index> idx;
-  for (const PassInfo* p : selected) {
-    if (p->needs_index && shared.index == nullptr) {
-      const auto t0 = Clock::now();
-      shared.index = &idx.emplace(build_index(tree));
-      if (timings != nullptr) timings->index_ms = ms_since(t0);
-    }
-  }
+  const auto index_t0 = Clock::now();
+  shared.index = &pass_index(tree, opts, idx);
+  if (timings != nullptr) timings->index_ms = ms_since(index_t0);
   for (const PassInfo* p : selected) {
     const auto t0 = Clock::now();
     p->fn(tree, shared, out);

@@ -1448,6 +1448,11 @@ Index build_index(const Tree& tree) {
   return idx;
 }
 
+const Index& pass_index(const Tree& tree, const Options& opts,
+                        std::optional<Index>& local) {
+  return opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
+}
+
 std::set<std::string> held_at(const Index& idx,
                               const std::vector<std::set<std::string>>& entry,
                               int fi, std::size_t pos) {

@@ -59,8 +59,8 @@ struct Options {
   /// (spec-name, contents) pairs in deterministic order.
   std::vector<std::pair<std::string, std::string>> protocol_specs;
   /// Prebuilt whole-program index shared across passes (set by
-  /// run_all_passes). Passes that need the index build their own when null,
-  /// so fixtures can still call a single pass directly.
+  /// run_all_passes). Null when a pass is called on its own; pass_index then
+  /// builds one for it.
   const Index* index = nullptr;
 };
 
@@ -354,6 +354,11 @@ struct Index {
 
 /// Build the whole-program index for `tree`.
 Index build_index(const Tree& tree);
+
+/// The index a pass reads: the one shared through `opts.index`, else one
+/// built into `local` (a pass called on its own, as the self-tests do).
+const Index& pass_index(const Tree& tree, const Options& opts,
+                        std::optional<Index>& local);
 
 /// Declared class of the receiver `recv` used at offset `use` of `f`: its
 /// unambiguous member type, else a `Cls[&*] recv` declaration in `fn`'s

@@ -71,8 +71,7 @@ void pass_atomics(const Tree& tree, const Options& opts, Findings& out) {
   for (const Finding& e : manifest_errors) out.push_back(e);
 
   std::optional<Index> local;
-  const Index& idx =
-      opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
+  const Index& idx = pass_index(tree, opts, local);
 
   std::set<std::string> reported;
   auto report = [&](const char* rule, const SourceFile& f, std::size_t pos,

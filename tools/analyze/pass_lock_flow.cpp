@@ -154,8 +154,7 @@ std::string field_class_hint(const Index& idx, const SourceFile& f,
 void pass_lock_flow(const Tree& tree, const Options& opts, Findings& out) {
   const std::vector<LockEntry> entries = parse_hierarchy(opts.hierarchy_text);
   std::optional<Index> local;
-  const Index& idx =
-      opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
+  const Index& idx = pass_index(tree, opts, local);
   const std::vector<std::set<std::string>> entry = propagate_entry_locks(idx);
 
   auto noblock = [&](const std::string& base, std::string_view rel) {

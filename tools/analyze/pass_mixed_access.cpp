@@ -48,8 +48,7 @@ bool is_constructor(const FunctionDef& fn) {
 
 void pass_mixed_access(const Tree& tree, const Options& opts, Findings& out) {
   std::optional<Index> local;
-  const Index& idx =
-      opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
+  const Index& idx = pass_index(tree, opts, local);
 
   // Closure roots: the functions a live second thread actually runs.
   std::vector<char> reachable(idx.funcs.size(), 0);

@@ -55,8 +55,7 @@ bool is_protocol_var_write(const WriteSite& site, const std::string& v) {
 void pass_protocol_fsm(const Tree& tree, const Options& opts, Findings& out) {
   if (opts.protocol_specs.empty()) return;
   std::optional<Index> local;
-  const Index& idx =
-      opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
+  const Index& idx = pass_index(tree, opts, local);
 
   for (const auto& [spec_name, text] : opts.protocol_specs) {
     std::vector<Finding> errors;

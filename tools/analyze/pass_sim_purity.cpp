@@ -66,8 +66,7 @@ std::vector<std::string> range_chain(std::string_view expr) {
 
 void pass_sim_purity(const Tree& tree, const Options& opts, Findings& out) {
   std::optional<Index> local;
-  const Index& idx =
-      opts.index != nullptr ? *opts.index : local.emplace(build_index(tree));
+  const Index& idx = pass_index(tree, opts, local);
 
   constexpr const char* kRule = "sim-purity-unordered";
   std::set<std::string> reported;  // one finding per (function, field)

@@ -65,9 +65,6 @@ using PassFn = void (*)(const Tree&, const Options&, Findings&);
 struct PassInfo {
   const char* name;
   PassFn fn;
-  /// Uses the whole-program index: run_all_passes builds it once and shares
-  /// it through Options::index.
-  bool needs_index = false;
 };
 
 /// All passes, in reporting order.
@@ -81,8 +78,9 @@ struct PassTimings {
 
 /// The analyzer's one driver: run the passes named in `only` (every pass when
 /// empty) over `tree` in registry order, appending their findings to `out`.
-/// The whole-program index is built once, when a selected pass needs it and
-/// `opts.index` is null. `timings`, when given, receives the host time spent.
+/// The whole-program index is built once, unless `opts.index` already holds
+/// one, and shared through Options::index. `timings`, when given, receives
+/// the host time spent.
 void run_all_passes(const Tree& tree, const Options& opts, Findings& out,
                     const std::set<std::string>& only = {},
                     PassTimings* timings = nullptr);
