@@ -1,11 +1,13 @@
-// Lock-order analysis. Builds an acquisition graph from two sources —
-// lexical nesting of RAII lock scopes (util::LockGuard / util::UniqueLock /
-// util::RecursiveLock / Node::lock_state()) and PREMA_REQUIRES annotations
-// on inline function bodies — and checks every edge against the checked-in
-// hierarchy (tools/analyze/lock_hierarchy.txt): a lock acquired while
-// another is held must sit strictly *below* the held one, except a lock
-// marked `recursive` re-acquiring itself. Independently of the hierarchy,
-// the accumulated graph is searched for cycles (potential deadlocks).
+// Lock-order analysis. Builds an acquisition graph from the whole-program
+// index's lock facts — each function's RAII lock scopes (util::LockGuard /
+// util::UniqueLock / util::RecursiveLock / Node::lock_state(), up to scope
+// end or an explicit .unlock()), assert-capability grants, and its
+// PREMA_REQUIRES facts, which hold for the whole body — and checks every
+// edge against the checked-in hierarchy (tools/analyze/lock_hierarchy.txt):
+// a lock acquired while another is held must sit strictly *below* the held
+// one, except a lock marked `recursive` re-acquiring itself. Independently of
+// the hierarchy, the accumulated graph is searched for cycles (potential
+// deadlocks).
 //
 // Two structural checks ride along:
 //  - every declared util::Mutex / util::RecursiveMutex member must resolve
@@ -19,6 +21,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -26,15 +29,6 @@
 
 namespace prema::analyze {
 namespace {
-
-// The hierarchy file model (parse_hierarchy / resolve_lock) lives in core —
-// the lock-flow pass shares it for its `noblock` attribute.
-
-struct Acquisition {
-  std::size_t pos = 0;   ///< event position in the code view
-  std::string base;      ///< canonical lock name
-  bool at_open_brace = false;  ///< REQUIRES hold: attaches inside the '{' at pos
-};
 
 /// True when the identifier token ending just before `pos` (after a "::")
 /// is `qual` — e.g. is this `LockGuard` spelled `util::LockGuard`?
@@ -45,72 +39,6 @@ bool has_qualifier(std::string_view code, std::size_t pos, std::string_view qual
   while (begin > 0 && ident_char(code[begin - 1])) --begin;
   return code.substr(begin, end - begin) == qual;
 }
-
-/// Collect RAII acquisitions and REQUIRES holds in one file, sorted by
-/// position.
-std::vector<Acquisition> collect_acquisitions(const SourceFile& f) {
-  std::vector<Acquisition> events;
-  const std::string_view code = f.code;
-
-  for (const char* type : {"LockGuard", "UniqueLock", "RecursiveLock"}) {
-    std::size_t from = 0;
-    while (true) {
-      const std::size_t pos = find_ident(code, type, from, true, false);
-      if (pos == std::string_view::npos) break;
-      from = pos + 1;
-      if (!has_qualifier(code, pos, "util")) continue;
-      std::size_t p = skip_ws(code, pos + std::string_view(type).size());
-      while (p < code.size() && ident_char(code[p])) ++p;  // optional var name
-      p = skip_ws(code, p);
-      if (p >= code.size() || code[p] != '(') continue;  // not a construction
-      const std::size_t close = matching_paren(code, p);
-      if (close == std::string_view::npos) continue;
-      const auto args = split_args(code.substr(p + 1, close - p - 1));
-      if (args.empty()) continue;
-      events.push_back({pos, lock_base_name(args[0]), false});
-    }
-  }
-
-  // Node::lock_state() returns an RAII lock over the node's state mutex;
-  // member-call sites are acquisitions of `state_mutex`.
-  std::size_t from = 0;
-  while (true) {
-    const std::size_t pos = find_member_call(code, "lock_state", from);
-    if (pos == std::string_view::npos) break;
-    from = pos + 1;
-    events.push_back({pos, "state_mutex", false});
-  }
-
-  // PREMA_REQUIRES on an inline definition: the listed capabilities are held
-  // for the whole body, so acquisitions inside it create ordering edges.
-  from = 0;
-  while (true) {
-    const std::size_t pos = find_ident(code, "PREMA_REQUIRES", from, false, true);
-    if (pos == std::string_view::npos) break;
-    from = pos + 1;
-    const std::size_t open = code.find('(', pos);
-    const std::size_t close = matching_paren(code, open);
-    if (close == std::string_view::npos) continue;
-    // Find the function body this annotation belongs to; a ';' first means
-    // it was a declaration (no body here).
-    std::size_t q = close + 1;
-    while (q < code.size() && code[q] != '{' && code[q] != ';' && code[q] != '}') ++q;
-    if (q >= code.size() || code[q] != '{') continue;
-    for (const std::string& arg : split_args(code.substr(open + 1, close - open - 1))) {
-      events.push_back({q, lock_base_name(arg), true});
-    }
-  }
-
-  std::sort(events.begin(), events.end(),
-            [](const Acquisition& a, const Acquisition& b) { return a.pos < b.pos; });
-  return events;
-}
-
-struct Hold {
-  int entry = -1;  ///< hierarchy index, -1 unresolved
-  std::string base;
-  int depth = 0;
-};
 
 struct DeclaredMutex {
   std::string rel;
@@ -175,57 +103,55 @@ std::set<std::string> collect_annotation_refs(const SourceFile& f) {
 void pass_lock_order(const Tree& tree, const Options& opts, Findings& out) {
   const std::vector<LockEntry> entries = parse_hierarchy(opts.hierarchy_text);
   const bool have_hierarchy = !entries.empty();
+  std::optional<Index> local;
+  const Index& idx = pass_index(tree, opts, local);
 
   // name -> successors, over canonical entry names (unresolved locks keep
   // their base name so cycles are still visible without a hierarchy).
   std::map<std::string, std::set<std::string>> graph;
 
-  for (const SourceFile& f : tree.files) {
-    const std::vector<Acquisition> events = collect_acquisitions(f);
-    std::vector<Hold> held;
-    int depth = 0;
-    std::size_t ev = 0;
-    const std::string_view code = f.code;
-    for (std::size_t p = 0; p <= code.size(); ++p) {
-      const bool at_open = p < code.size() && code[p] == '{';
-      if (p < code.size() && code[p] == '}') {
-        while (!held.empty() && held.back().depth >= depth) held.pop_back();
-        --depth;
+  for (const FunctionDef& fn : idx.funcs) {
+    const SourceFile& f = tree.files[static_cast<std::size_t>(fn.file)];
+    // The body's holds in acquisition order: its PREMA_REQUIRES facts, held
+    // from the opening brace to the closing one, then its acquisitions.
+    std::vector<LockAcq> holds;
+    for (const std::string& base : fn.requires_locks) {
+      holds.push_back({fn.body_begin, fn.body_end, base, ""});
+    }
+    const std::size_t required = holds.size();
+    holds.insert(holds.end(), fn.acquisitions.begin(), fn.acquisitions.end());
+    std::vector<int> entry_of;
+    for (std::size_t i = 0; i < holds.size(); ++i) {
+      const LockAcq& a = holds[i];
+      const int entry = resolve_lock(entries, f.rel, a.base);
+      entry_of.push_back(entry);
+      const std::string name = entry >= 0 ? entries[entry].name : a.base;
+      const int line = line_of(f.code, a.pos);
+      if (entry < 0 && have_hierarchy && i >= required) {
+        out.push_back({"lock-unlisted", f.rel, line,
+                       "lock acquisition '" + a.base +
+                           "' matches no lock_hierarchy.txt entry"});
       }
-      if (at_open) ++depth;
-      while (ev < events.size() && events[ev].pos == p) {
-        const Acquisition& a = events[ev++];
-        if (a.at_open_brace && !at_open) continue;  // defensive: must be a '{'
-        const int entry = resolve_lock(entries, f.rel, a.base);
-        const std::string name = entry >= 0 ? entries[entry].name : a.base;
-        const int line = line_of(code, a.pos);
-        if (entry < 0 && have_hierarchy && !a.at_open_brace) {
-          out.push_back({"lock-unlisted", f.rel, line,
-                         "lock acquisition '" + a.base +
-                             "' matches no lock_hierarchy.txt entry"});
+      for (std::size_t j = 0; j < i; ++j) {
+        const LockAcq& h = holds[j];
+        if (h.end <= a.pos) continue;  // released before this acquisition
+        const int h_entry = entry_of[j];
+        const std::string held_name =
+            h_entry >= 0 ? entries[static_cast<std::size_t>(h_entry)].name : h.base;
+        const bool same = held_name == name;
+        const bool recursive_ok =
+            same && entry >= 0 && entries[static_cast<std::size_t>(entry)].recursive;
+        if (!same || !recursive_ok) graph[held_name].insert(name);
+        if (entry < 0 || h_entry < 0) continue;
+        std::string msg;
+        if (same && !recursive_ok) {
+          msg = "lock '" + name + "' re-acquired while held but not marked recursive";
+          msg += " in lock_hierarchy.txt";
+        } else if (!same && entry <= h_entry) {
+          msg = "acquires '" + name + "' while holding '" + held_name + "', inverting";
+          msg += " the lock hierarchy (" + name + " is ordered above " + held_name + ")";
         }
-        for (const Hold& h : held) {
-          const std::string held_name =
-              h.entry >= 0 ? entries[static_cast<std::size_t>(h.entry)].name : h.base;
-          const bool same = held_name == name;
-          const bool recursive_ok =
-              same && entry >= 0 && entries[static_cast<std::size_t>(entry)].recursive;
-          if (!same || !recursive_ok) graph[held_name].insert(name);
-          if (entry >= 0 && h.entry >= 0) {
-            if (same && !recursive_ok) {
-              out.push_back({"lock-order", f.rel, line,
-                             "lock '" + name +
-                                 "' re-acquired while held but not marked "
-                                 "recursive in lock_hierarchy.txt"});
-            } else if (!same && entry <= h.entry) {
-              out.push_back({"lock-order", f.rel, line,
-                             "acquires '" + name + "' while holding '" + held_name +
-                                 "', inverting the lock hierarchy (" + name +
-                                 " is ordered above " + held_name + ")"});
-            }
-          }
-        }
-        held.push_back({entry, a.base, depth});
+        if (!msg.empty()) out.push_back({"lock-order", f.rel, line, msg});
       }
     }
   }
