@@ -158,6 +158,10 @@ int main(int argc, char** argv) {
     std::cerr << "unknown backend: " << backend << "\n";
     return 2;
   }
+  if (!switches.empty() && backend == "thread") {
+    std::cerr << "--policy-switch: the switch scenario runs on the sim backend only\n";
+    return 2;
+  }
   // A switch must fall inside the switch scenario's injection window, or
   // the report would name a switch that never happened.
   const double switch_window = base_scenario("sim", smoke).duration_s;
