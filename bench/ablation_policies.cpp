@@ -8,11 +8,15 @@
 // Flags: --policy=<name|all>   one registry policy, or the whole suite
 //        --backend=sim|thread|both
 //        --smoke               CI-sized workload (same structure)
+//        --out=<path>          also write the runs as JSON (BENCH_policies.json
+//                              at the repo root is `--smoke --backend=both`)
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_support/bench_json.hpp"
 #include "bench_support/synthetic.hpp"
 #include "ilb/policy.hpp"
 #include "policy_flag.hpp"
@@ -42,7 +46,25 @@ SyntheticConfig make_config(const std::string& backend, bool smoke) {
   return cfg;
 }
 
-void run_one(const std::string& backend, const std::string& policy, bool smoke) {
+/// One run's JSON object: quality (per-proc computation stddev), LB
+/// overhead and migration rate.
+void emit_run(JsonWriter& jw, const RunReport& r) {
+  jw.begin_object();
+  jw.field("backend", r.backend);
+  jw.field("policy", r.policy);
+  jw.field("makespan_s", r.makespan);
+  jw.field("quality_stddev_s", r.comp_stddev);
+  jw.field("overhead_pct", r.overhead_pct);
+  jw.field("migrations", r.migrations);
+  jw.field("migrations_per_sec",
+           r.makespan > 0.0 ? static_cast<double>(r.migrations) / r.makespan : 0.0);
+  jw.field("executed", r.executed);
+  jw.field("audit_ok", r.audit_ok);
+  jw.end_object();
+}
+
+void run_one(const std::string& backend, const std::string& policy, bool smoke,
+             JsonWriter* jw) {
   SyntheticConfig cfg = make_config(backend, smoke);
   cfg.policy = policy;
   const RunReport r = run_synthetic(System::kPremaImplicit, cfg);
@@ -56,6 +78,7 @@ void run_one(const std::string& backend, const std::string& policy, bool smoke) 
                 r.backend.c_str(), r.policy.c_str(), r.makespan, r.comp_stddev,
                 r.overhead_pct, static_cast<unsigned long long>(r.migrations));
   std::cout << buf;
+  if (jw != nullptr) emit_run(*jw, r);
 }
 
 }  // namespace
@@ -63,6 +86,7 @@ void run_one(const std::string& backend, const std::string& policy, bool smoke) 
 int main(int argc, char** argv) {
   std::string policy = "all";
   std::string backend = "sim";
+  std::string out;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -72,11 +96,13 @@ int main(int argc, char** argv) {
       backend = arg + 10;
     } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
+    } else if (std::strncmp(arg, "--out=", 6) == 0) {
+      out = arg + 6;
     } else {
       std::cerr << "unknown flag: " << arg << "\n"
                 << "usage: " << argv[0]
                 << " [--policy=<name|all>] [--backend=sim|thread|both]"
-                   " [--smoke]\n";
+                   " [--smoke] [--out=<path>]\n";
       return 2;
     }
   }
@@ -85,6 +111,20 @@ int main(int argc, char** argv) {
     std::cerr << "unknown backend: " << backend << "\n";
     return 2;
   }
+
+  std::optional<BenchReport> report;
+  if (!out.empty()) {
+    report.emplace(out, "ablation_policies",
+                   "balancing quality, overhead, and migration rate per policy on "
+                   "the synthetic workload");
+    if (!report->ok()) {
+      std::cerr << "cannot open " << out << " for writing\n";
+      return 1;
+    }
+    report->json().field("smoke", smoke);
+    report->begin_runs();
+  }
+  JsonWriter* jw = report ? &report->json() : nullptr;
 
   std::cout << std::unitbuf;
   std::cout << "Policy suite on the synthetic workload (50% heavy 2x"
@@ -96,10 +136,11 @@ int main(int argc, char** argv) {
 
   for (const auto& be : backends) {
     if (policy == "all") {
-      for (const std::string& p : prema::ilb::policy_names()) run_one(be, p, smoke);
+      for (const std::string& p : prema::ilb::policy_names()) run_one(be, p, smoke, jw);
     } else {
-      run_one(be, policy, smoke);
+      run_one(be, policy, smoke, jw);
     }
   }
+  if (report) std::cout << "report written to " << out << "\n";
   return 0;
 }
