@@ -18,8 +18,9 @@ inline constexpr double kReportHysteresis = 0.3;
 /// the first report): it moved by at least max(1, kReportHysteresis x the
 /// last report).
 [[nodiscard]] inline bool report_due(double load, double last_reported) {
-  return last_reported < 0.0 || std::abs(load - last_reported) >=
-                                    std::max(1.0, kReportHysteresis * last_reported);
+  if (last_reported < 0.0) return true;
+  const double floor = std::max(1.0, kReportHysteresis * last_reported);
+  return std::abs(load - last_reported) >= floor;
 }
 
 /// A donor's answer to a push: above the donate threshold, ship migratable
